@@ -52,6 +52,17 @@ impl BackingStore {
         self.bytes.len()
     }
 
+    /// The whole store as bytes, for callers that move architectural
+    /// data in bulk (a functional-only machine copying blocks).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Mutable twin of [`BackingStore::as_bytes`].
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes
+    }
+
     fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
         let end = addr as u64 + len as u64;
         if end > self.bytes.len() as u64 {

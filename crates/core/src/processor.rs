@@ -4,8 +4,53 @@ use crate::config::{ClumsyConfig, FrequencyPlan};
 use crate::controller::{Decision, DynamicController};
 use crate::report::{FatalInfo, RunReport};
 use cache_sim::DetectionScheme;
-use netbench::{diff_observations, AppKind, Machine, Observation, Trace};
+use netbench::{
+    diff_observations, AppError, AppKind, Machine, Observation, Packet, PacketApp, Trace,
+};
 use std::collections::BTreeMap;
+
+/// The fault-free reference side of differential execution: one app on
+/// a [`Machine::golden`], stepped one packet at a time. The batch
+/// runner replays a whole trace through it once ([`ClumsyProcessor::golden`]);
+/// a serve shard steps it in lock step with its measured machine.
+pub(crate) struct GoldenPass {
+    machine: Machine,
+    app: Box<dyn PacketApp>,
+    fuel: u64,
+}
+
+impl GoldenPass {
+    /// Builds the app's tables on a fresh golden machine and returns
+    /// the pass with the control plane's initialization observations.
+    ///
+    /// # Errors
+    ///
+    /// A control-plane fatal, which a fault-free run can only hit on
+    /// an exhausted fuel budget.
+    pub(crate) fn boot(
+        kind: AppKind,
+        context: &Trace,
+    ) -> Result<(GoldenPass, Vec<Observation>), AppError> {
+        let mut machine = Machine::golden();
+        let mut app = kind.instantiate(context);
+        machine.set_fuel(app.setup_fuel());
+        let init_obs = app.setup(&mut machine)?;
+        let fuel = app.fuel_per_packet();
+        Ok((GoldenPass { machine, app, fuel }, init_obs))
+    }
+
+    /// Receives and processes one packet, returning its observations.
+    ///
+    /// # Errors
+    ///
+    /// A packet too large for the DMA ring, or an exhausted fuel
+    /// budget.
+    pub(crate) fn step(&mut self, pkt: &Packet) -> Result<Vec<Observation>, AppError> {
+        let view = self.machine.dma_packet(pkt)?;
+        self.machine.set_fuel(self.fuel);
+        self.app.process(&mut self.machine, view)
+    }
+}
 
 /// Golden (fault-free) reference observations for one app over a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,24 +98,23 @@ impl ClumsyProcessor {
 
     /// Computes the golden reference for `kind` over `trace`. Reusable
     /// across design points (the golden pass does not depend on them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packet does not fit the 2 KB DMA ring or the app
+    /// exhausts its fuel without faults — the trace is unusable as a
+    /// reference.
     pub fn golden(kind: AppKind, trace: &Trace) -> GoldenData {
-        let mut machine = Machine::strongarm(0);
-        machine.set_inject(false);
-        let mut app = kind.instantiate(trace);
-        machine.set_fuel(app.setup_fuel());
-        let init_obs = app
-            .setup(&mut machine)
-            .expect("golden setup cannot fail without faults");
-        machine.writeback_all();
-        let mut per_packet = Vec::with_capacity(trace.packets.len());
-        for pkt in &trace.packets {
-            let view = machine.dma_packet(pkt).expect("packet fits DMA buffer");
-            machine.set_fuel(app.fuel_per_packet());
-            per_packet.push(
-                app.process(&mut machine, view)
-                    .expect("golden processing cannot fail without faults"),
-            );
-        }
+        let (mut pass, init_obs) =
+            GoldenPass::boot(kind, trace).expect("golden setup cannot fail without faults");
+        let per_packet = trace
+            .packets
+            .iter()
+            .map(|pkt| {
+                pass.step(pkt)
+                    .expect("golden processing cannot fail without faults")
+            })
+            .collect();
         GoldenData {
             init_obs,
             per_packet,

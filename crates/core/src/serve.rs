@@ -34,14 +34,13 @@
 use crate::campaign::{panic_message, RESEED_STRIDE};
 use crate::config::{ClumsyConfig, FrequencyPlan};
 use crate::controller::{Decision, DynamicController};
-use crate::processor::ClumsyProcessor;
+use crate::processor::{ClumsyProcessor, GoldenPass};
 use crate::telemetry::Telemetry;
 use cache_sim::{DetectionScheme, MemStats};
 use netbench::{
     diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Packet, PacketApp,
     Plane, Trace, TraceConfig, TrafficClass, TrafficSource, FNV_OFFSET,
 };
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
@@ -110,6 +109,12 @@ pub enum ShedPolicy {
 /// (it always equals capacity at the moment a push blocks); the EWMA
 /// distinguishes a transient burst from sustained pressure.
 const OCCUPANCY_EWMA_SHIFT: u32 = 3;
+
+/// Most entries a shard moves from its ingress queue into its local
+/// batch under one lock. The shard never waits to fill a batch: it takes
+/// whatever is queued, up to this many, so an idle-ish queue still hands
+/// over single packets with no added delay.
+const SHARD_BATCH: usize = 32;
 
 /// DRR quantum in cost units (bytes of payload): one MTU-ish credit
 /// per flow per round, so a flow of jumbo packets cannot outrun a flow
@@ -185,6 +190,13 @@ struct QueueState {
     /// a panic here runs under the ingress Mutex and would poison it
     /// for every producer, wedging the whole service.
     invariant_repairs: u64,
+    /// Producers blocked on `not_full` and consumers blocked on
+    /// `not_empty`. A push or pop signals the other side only when
+    /// someone is waiting there, so the uncontended handoff makes no
+    /// wake syscall at all. Both are only touched under the Mutex, and
+    /// a waiter registers before it sleeps, so no wakeup is lost.
+    waiting_producers: usize,
+    waiting_consumers: usize,
 }
 
 impl QueueState {
@@ -238,6 +250,8 @@ impl IngressQueue {
                 occupancy_milli: 0,
                 drr_topups: 0,
                 invariant_repairs: 0,
+                waiting_producers: 0,
+                waiting_consumers: 0,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -309,13 +323,7 @@ impl IngressQueue {
         while state.len >= self.capacity && !state.closed {
             if control {
                 if let Some(victim) = Self::evict_newest_data(&mut state, self.flow_cap.is_some()) {
-                    let s = &mut *state;
-                    Self::insert(s, entry, self.flow_cap.is_none());
-                    let depth = s.len;
-                    s.highwater = s.highwater.max(depth);
-                    s.observe_occupancy();
-                    drop(state);
-                    self.not_empty.notify_one();
+                    let depth = self.admit(state, entry);
                     return PushOutcome::Preempted {
                         depth,
                         evicted_flow: victim.flow,
@@ -328,23 +336,34 @@ impl IngressQueue {
                 state.observe_occupancy();
                 return PushOutcome::Shed;
             };
+            state.waiting_producers += 1;
             let (guard, _timeout) = self
                 .not_full
                 .wait_timeout(state, remaining)
                 .unwrap_or_else(|e| e.into_inner());
             state = guard;
+            state.waiting_producers -= 1;
         }
         if state.closed {
             return PushOutcome::Closed;
         }
+        PushOutcome::Enqueued(self.admit(state, entry))
+    }
+
+    /// Inserts `entry` under the held lock, then wakes a consumer only
+    /// if one is waiting. Returns the depth after the insert.
+    fn admit(&self, mut state: std::sync::MutexGuard<'_, QueueState>, entry: Entry) -> usize {
         let s = &mut *state;
         Self::insert(s, entry, self.flow_cap.is_none());
         let depth = s.len;
         s.highwater = s.highwater.max(depth);
         s.observe_occupancy();
+        let wake = s.waiting_consumers > 0;
         drop(state);
-        self.not_empty.notify_one();
-        PushOutcome::Enqueued(depth)
+        if wake {
+            self.not_empty.notify_one();
+        }
+        depth
     }
 
     /// Appends one entry to the mode's storage and bumps `len`.
@@ -462,25 +481,42 @@ impl IngressQueue {
         None
     }
 
-    /// Pops the next entry, blocking while the queue is empty and
-    /// open. Returns `None` only once the queue is closed *and*
+    /// Hands up to `max` entries, in dequeue order, to `sink` under one
+    /// lock. Blocks only while the queue is empty and open — never to
+    /// fill a batch. Returns `false` only once the queue is closed *and*
     /// drained — the consumer's signal to finish.
-    fn pop_entry(&self) -> Option<Entry> {
+    fn pop_batch(&self, max: usize, mut sink: impl FnMut(Entry)) -> bool {
+        let drr = self.flow_cap.is_some();
         let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(e) = Self::dequeue(&mut state, self.flow_cap.is_some()) {
+            let mut taken = 0;
+            while taken < max {
+                let Some(e) = Self::dequeue(&mut state, drr) else {
+                    break;
+                };
                 state.observe_occupancy();
+                sink(e);
+                taken += 1;
+            }
+            if taken > 0 {
+                let waiting = state.waiting_producers;
                 drop(state);
-                self.not_full.notify_one();
-                return Some(e);
+                if waiting > 1 && taken > 1 {
+                    self.not_full.notify_all();
+                } else if waiting > 0 {
+                    self.not_full.notify_one();
+                }
+                return true;
             }
             if state.closed {
-                return None;
+                return false;
             }
+            state.waiting_consumers += 1;
             state = self
                 .not_empty
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            state.waiting_consumers -= 1;
         }
     }
 
@@ -488,7 +524,9 @@ impl IngressQueue {
     /// open. Returns `None` only once the queue is closed *and*
     /// drained — the consumer's signal to finish.
     pub fn pop(&self) -> Option<Packet> {
-        self.pop_entry().map(|e| e.pkt)
+        let mut popped = None;
+        self.pop_batch(1, |e| popped = Some(e.pkt));
+        popped
     }
 
     /// Closes the queue: producers get [`PushOutcome::Closed`],
@@ -1315,9 +1353,7 @@ enum PacketVerdict {
 /// both apps see the same packet sequence and the per-packet diff is
 /// exactly the batch runner's differential execution, just unbounded.
 struct ShardState {
-    golden_machine: Machine,
-    golden_app: Box<dyn PacketApp>,
-    golden_fuel: u64,
+    golden: GoldenPass,
     machine: Machine,
     app: Box<dyn PacketApp>,
     fuel: u64,
@@ -1332,15 +1368,7 @@ impl ShardState {
     /// the measured control plane is an `Err` — the caller retries
     /// with a reseeded stream.
     fn build(cfg: &ServeConfig, context: &Trace, seed: u64) -> Result<ShardState, AppError> {
-        // Golden side: mirrors `ClumsyProcessor::golden`.
-        let mut golden_machine = Machine::strongarm(0);
-        golden_machine.set_inject(false);
-        let mut golden_app = cfg.app.instantiate(context);
-        golden_machine.set_fuel(golden_app.setup_fuel());
-        golden_app
-            .setup(&mut golden_machine)
-            .expect("golden setup cannot fail without faults");
-        let golden_fuel = golden_app.fuel_per_packet();
+        let (golden, _) = GoldenPass::boot(cfg.app, context)?;
 
         // Measured side: mirrors `ClumsyProcessor::run_with_golden`.
         let mut machine = Machine::with_config(cfg.design.mem.clone(), seed);
@@ -1367,9 +1395,7 @@ impl ShardState {
         let faults_seen = ClumsyProcessor::fault_count(&machine, detection);
         let published = *machine.stats();
         Ok(ShardState {
-            golden_machine,
-            golden_app,
-            golden_fuel,
+            golden,
             machine,
             app,
             fuel,
@@ -1382,33 +1408,24 @@ impl ShardState {
 
     /// Runs one packet through both machines and classifies it.
     fn process_packet(&mut self, pkt: &Packet) -> PacketVerdict {
-        let view = self
-            .golden_machine
-            .dma_packet(pkt)
-            .expect("packet fits DMA buffer");
-        self.golden_machine.set_fuel(self.golden_fuel);
-        let golden_obs = self
-            .golden_app
-            .process(&mut self.golden_machine, view)
-            .expect("golden processing cannot fail without faults");
-
-        let verdict = match self.machine.dma_packet(pkt) {
-            // Never wedge: a fatal in serve always takes the watchdog
-            // path (drop the packet, keep the machine alive).
-            Err(_) => PacketVerdict::Dropped,
-            Ok(view) => {
-                self.machine.set_fuel(self.fuel);
-                match self.app.process(&mut self.machine, view) {
-                    Ok(obs) => {
-                        if diff_observations(&golden_obs, &obs).has_error() {
-                            PacketVerdict::Erroneous
-                        } else {
-                            PacketVerdict::Clean
-                        }
-                    }
-                    Err(_) => PacketVerdict::Dropped,
+        let golden = self.golden.step(pkt);
+        let measured = self.machine.dma_packet(pkt).and_then(|view| {
+            self.machine.set_fuel(self.fuel);
+            self.app.process(&mut self.machine, view)
+        });
+        // Never wedge: a fatal on either side drops the packet and keeps
+        // both machines alive (watchdog semantics, always on in serve).
+        // Without a golden reference there is nothing to diff against,
+        // so an oversized packet is a drop, not a panic.
+        let verdict = match (golden, measured) {
+            (Ok(golden_obs), Ok(obs)) => {
+                if diff_observations(&golden_obs, &obs).has_error() {
+                    PacketVerdict::Erroneous
+                } else {
+                    PacketVerdict::Clean
                 }
             }
+            _ => PacketVerdict::Dropped,
         };
 
         // Dynamic adaptation on the observed fault counter, exactly as
@@ -1446,10 +1463,26 @@ fn shard_seed(base: u64, shard: usize, round: u64) -> u64 {
     base ^ (shard as u64).wrapping_mul(SHARD_SEED_MIX) ^ round.wrapping_mul(RESEED_STRIDE)
 }
 
+/// What a shard's supervisor carries from one generation to the next:
+/// everything a caught panic must not lose.
+#[derive(Debug, Default)]
+struct Carry {
+    /// The packet being processed, if any — abandoned on a panic.
+    in_flight: Option<u32>,
+    /// Machine builds so far; every rebuild draws the next reseed round.
+    rounds: u64,
+    /// Whether the test-only injected panic is still armed.
+    panic_armed: bool,
+    /// Entries taken from the queue and not yet started. A panic leaves
+    /// them here and the next generation serves them first, so it costs
+    /// only the packet in flight.
+    batch: VecDeque<Entry>,
+}
+
 /// One shard generation: build a machine pair (reseeding past
-/// control-plane fatals), then consume the queue until it is closed
-/// and drained. Panics propagate to the supervisor.
-#[allow(clippy::too_many_arguments)]
+/// control-plane fatals), then serve the carried batch and the queue,
+/// [`SHARD_BATCH`] entries per lock, until the queue is closed and
+/// drained. Panics propagate to the supervisor.
 fn shard_loop(
     shard: usize,
     cfg: &ServeConfig,
@@ -1457,13 +1490,12 @@ fn shard_loop(
     queue: &IngressQueue,
     rep: &mut ShardReport,
     telemetry: Option<&Telemetry>,
-    in_flight: &Cell<Option<u32>>,
-    rounds: &Cell<u64>,
-    panic_armed: &Cell<bool>,
+    carry: &mut Carry,
 ) {
     let mut state = None;
     for _ in 0..=SETUP_RETRY_LIMIT {
-        let round = rounds.replace(rounds.get() + 1);
+        let round = carry.rounds;
+        carry.rounds += 1;
         match ShardState::build(cfg, context, shard_seed(cfg.design.seed, shard, round)) {
             Ok(s) => {
                 state = Some(s);
@@ -1481,20 +1513,30 @@ fn shard_loop(
         // Never wedge: a shard that cannot boot a machine at this
         // operating point degrades to shedding its queue so the pump
         // and the sibling shards keep moving.
-        while queue.pop().is_some() {
-            rep.dropped += 1;
-            if let Some(t) = telemetry {
-                t.packet_dropped(shard);
+        loop {
+            for _ in carry.batch.drain(..) {
+                rep.dropped += 1;
+                if let Some(t) = telemetry {
+                    t.packet_dropped(shard);
+                }
+            }
+            if !queue.pop_batch(SHARD_BATCH, |e| carry.batch.push_back(e)) {
+                return;
             }
         }
-        return;
     };
 
     let mut since_publish = 0u32;
-    while let Some(entry) = queue.pop_entry() {
-        let Entry { pkt, enqueued, .. } = entry;
-        in_flight.set(Some(pkt.id));
-        if cfg.panic_on_packet == Some(pkt.id) && panic_armed.replace(false) {
+    loop {
+        let Some(Entry { pkt, enqueued, .. }) = carry.batch.pop_front() else {
+            if queue.pop_batch(SHARD_BATCH, |e| carry.batch.push_back(e)) {
+                continue;
+            }
+            break;
+        };
+        carry.in_flight = Some(pkt.id);
+        if cfg.panic_on_packet == Some(pkt.id) && carry.panic_armed {
+            carry.panic_armed = false;
             panic!("injected serve test panic on packet {}", pkt.id);
         }
         let verdict = state.process_packet(&pkt);
@@ -1517,7 +1559,7 @@ fn shard_loop(
                 PacketVerdict::Dropped => t.packet_dropped(shard),
             }
         }
-        in_flight.set(None);
+        carry.in_flight = None;
         since_publish += 1;
         if since_publish >= cfg.stats_interval.max(1) {
             state.publish(rep, telemetry, shard);
@@ -1534,7 +1576,8 @@ fn shard_loop(
 /// Supervises one shard for the lifetime of the run: every generation
 /// runs under [`catch_unwind`]; a panic accounts the in-flight packet
 /// as abandoned and restarts the loop with a reseeded stream on the
-/// same queue. Only returns once the queue is closed and drained.
+/// carried batch, then the same queue. Only returns once the queue is
+/// closed and drained.
 fn supervise_shard(
     shard: usize,
     cfg: &ServeConfig,
@@ -1547,22 +1590,15 @@ fn supervise_shard(
         final_cycle: 1.0,
         ..ShardReport::default()
     };
-    let in_flight = Cell::new(None::<u32>);
-    let rounds = Cell::new(0u64);
-    let panic_armed = Cell::new(cfg.panic_on_packet.is_some());
+    // The carry lives out here, outside `catch_unwind`: a panic unwinds
+    // the generation but not its batch.
+    let mut carry = Carry {
+        panic_armed: cfg.panic_on_packet.is_some(),
+        ..Carry::default()
+    };
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            shard_loop(
-                shard,
-                cfg,
-                context,
-                queue,
-                &mut rep,
-                telemetry,
-                &in_flight,
-                &rounds,
-                &panic_armed,
-            );
+            shard_loop(shard, cfg, context, queue, &mut rep, telemetry, &mut carry);
         }));
         match result {
             Ok(()) => break,
@@ -1570,7 +1606,7 @@ fn supervise_shard(
                 rep.panics += 1;
                 rep.restarts += 1;
                 rep.last_panic = Some(panic_message(payload));
-                if in_flight.take().is_some() {
+                if carry.in_flight.take().is_some() {
                     rep.abandoned += 1;
                     if let Some(t) = telemetry {
                         t.packet_abandoned();
@@ -2635,6 +2671,78 @@ mod tests {
         assert_eq!(d.pinned_flows(), 1);
         // Three new flows wanted pins after the table filled.
         assert_eq!(d.pin_table_full(), 3);
+    }
+
+    /// Runs `cfg` on its own thread and fails, instead of hanging, if
+    /// the run does not finish within `limit`: a lost wakeup leaves a
+    /// shard asleep on a queue that has work.
+    fn run_serve_within(cfg: ServeConfig, limit: Duration) -> ServeReport {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_serve(&cfg, None, &|| false));
+        });
+        rx.recv_timeout(limit)
+            .expect("serve did not finish: a wakeup was lost")
+    }
+
+    #[test]
+    fn tiny_queues_never_lose_a_wakeup() {
+        for depth in [1, 2] {
+            let cfg = serve_cfg(10_000).with_shards(1).with_queue_depth(depth);
+            let report = run_serve_within(cfg, Duration::from_secs(120));
+            assert_eq!(report.generated, 10_000, "depth {depth}");
+            assert_eq!(report.shed, 0, "depth {depth}");
+            assert_eq!(report.ingested, 10_000, "depth {depth}");
+            assert_eq!(report.processed() + report.dropped(), 10_000);
+            assert!(report.accounting_holds(), "depth {depth}: {report:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_batch_abandons_only_the_packet_in_flight() {
+        let cfg = serve_cfg(0).with_shards(1);
+        let source = TrafficSource::new(&cfg.traffic);
+        let context = source.context();
+        let packets: Vec<Packet> = source.take(40).collect();
+        let queue = IngressQueue::new(64);
+        for p in &packets {
+            assert!(matches!(
+                queue.push(p.clone(), Duration::ZERO),
+                PushOutcome::Enqueued(_)
+            ));
+        }
+        queue.close();
+        // The first batch takes packets 0..SHARD_BATCH; packet 5 dies
+        // mid-batch and the next generation must serve the other 26.
+        let victim = packets[5].id;
+        let cfg = cfg.with_panic_on_packet(victim);
+        let rep = supervise_shard(0, &cfg, &context, &queue, None);
+        assert_eq!(rep.panics, 1);
+        assert_eq!(rep.restarts, 1);
+        assert_eq!(rep.abandoned, 1);
+        assert_eq!(rep.processed, 39, "{rep:?}");
+        assert_eq!(rep.consumed(), 40);
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn oversized_packets_are_dropped_without_a_restart() {
+        let mut traffic = small_traffic();
+        traffic.payload_min = 1900;
+        traffic.payload_max = 2100;
+        let mut dma = Machine::golden();
+        let too_big = TrafficSource::new(&traffic)
+            .take(300)
+            .filter(|p| dma.dma_packet(p).is_err())
+            .count() as u64;
+        assert!(too_big > 0 && too_big < 300, "{too_big}");
+        let report = run_serve(&serve_cfg(300).with_traffic(traffic), None, &|| false);
+        assert_eq!(report.restarts(), 0, "{report:?}");
+        assert_eq!(report.abandoned(), 0);
+        assert_eq!(report.dropped(), too_big);
+        assert_eq!(report.processed(), 300 - too_big);
+        assert_eq!(report.generated, report.ingested + report.shed);
+        assert!(report.accounting_holds(), "{report:?}");
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 pub mod apps;
 mod error;
+mod flat;
 mod heap;
 mod ip;
 mod machine;

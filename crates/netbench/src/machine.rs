@@ -2,6 +2,7 @@
 //! instruction accounting, fuel, plane tracking and packet DMA.
 
 use crate::error::{AppError, FatalError};
+use crate::flat::FlatMemory;
 use crate::heap::Heap;
 use crate::packet::Packet;
 use cache_sim::{Access, MemConfig, MemStats, MemSystem};
@@ -112,6 +113,30 @@ const DMA_BUF_BYTES: u32 = 2048;
 /// Number of DMA ring buffers.
 const DMA_RING: usize = 8;
 
+/// What a machine's loads and stores run against.
+// The hierarchy stays inline: boxing it would put a pointer chase on
+// every measured access, and a machine is built once per run.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Memory {
+    /// The fault-injecting cache hierarchy of every measured machine.
+    Cached(MemSystem),
+    /// Architectural values only: the golden reference
+    /// ([`Machine::golden`]).
+    Flat(FlatMemory),
+}
+
+/// Runs `$call` on whichever memory backs the machine; both backends
+/// share the access entry points' names and signatures.
+macro_rules! on_mem {
+    ($mem:expr, $m:ident => $call:expr) => {
+        match $mem {
+            Memory::Cached($m) => $call,
+            Memory::Flat($m) => $call,
+        }
+    };
+}
+
 /// The execution environment of a [`PacketApp`](crate::PacketApp).
 ///
 /// All application data accesses go through [`Machine::load_u32`] and
@@ -133,7 +158,7 @@ const DMA_RING: usize = 8;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
-    mem: MemSystem,
+    mem: Memory,
     heap: Heap,
     instructions: u64,
     fuel: u64,
@@ -166,12 +191,44 @@ impl Machine {
     /// Panics if the backing capacity is not a power of two (required
     /// for address mirroring).
     pub fn with_config(cfg: MemConfig, seed: u64) -> Self {
-        let capacity = cfg.backing_bytes as u32;
+        let capacity = cfg.backing_bytes;
+        Machine::on(Memory::Cached(MemSystem::new(cfg, seed)), capacity)
+    }
+
+    /// A golden machine: the fault-free reference every measured packet
+    /// is diffed against. It has [`Machine::strongarm`]'s address space,
+    /// heap and DMA ring, and charges instructions and fuel the same
+    /// way, but its memory is a flat [`cache_sim::BackingStore`] — no
+    /// L1/L2, fault sampler, timing or energy. An application therefore
+    /// returns the same observations as on a `strongarm` machine with
+    /// injection off, at a fraction of the cost.
+    ///
+    /// [`Machine::stats`], [`Machine::cycles`] and [`Machine::energy`]
+    /// read zero; clock and injection controls and
+    /// [`Machine::writeback_all`] do nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use netbench::Machine;
+    ///
+    /// let mut m = Machine::golden();
+    /// let buf = m.alloc(64, 4);
+    /// m.store_u32(buf, 5).unwrap();
+    /// assert_eq!(m.load_u32(buf).unwrap(), 5);
+    /// assert_eq!(m.cycles(), 0.0);
+    /// ```
+    pub fn golden() -> Self {
+        let cfg = MemConfig::strongarm();
+        Machine::on(Memory::Flat(FlatMemory::new(&cfg)), cfg.backing_bytes)
+    }
+
+    fn on(mem: Memory, capacity: usize) -> Self {
+        let capacity = capacity as u32;
         assert!(
             capacity.is_power_of_two(),
             "backing capacity must be a power of two for address mirroring"
         );
-        let mem = MemSystem::new(cfg, seed);
         Machine {
             mem,
             heap: Heap::new(0x1000, capacity),
@@ -194,7 +251,9 @@ impl Machine {
 
     fn sync_inject(&mut self) {
         let enabled = self.inject_master && self.fault_planes.allows(self.plane);
-        self.mem.set_inject(enabled);
+        if let Memory::Cached(m) = &mut self.mem {
+            m.set_inject(enabled);
+        }
     }
 
     /// Switches the current execution plane.
@@ -246,7 +305,9 @@ impl Machine {
         }
         self.fuel -= n;
         self.instructions += n;
-        self.mem.advance(n as f64);
+        if let Memory::Cached(m) = &mut self.mem {
+            m.advance(n as f64);
+        }
         Ok(())
     }
 
@@ -257,7 +318,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault (both fatal).
     pub fn load_u32(&mut self, addr: u32) -> Result<u32, AppError> {
         self.charge(1)?;
-        Ok(self.mem.read_u32(self.phys(addr))?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_u32(addr))?)
     }
 
     /// Loads a 16-bit half-word through the data cache.
@@ -267,7 +329,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault.
     pub fn load_u16(&mut self, addr: u32) -> Result<u16, AppError> {
         self.charge(1)?;
-        Ok(self.mem.read_u16(self.phys(addr))?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_u16(addr))?)
     }
 
     /// Loads a byte through the data cache.
@@ -277,7 +340,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault.
     pub fn load_u8(&mut self, addr: u32) -> Result<u8, AppError> {
         self.charge(1)?;
-        Ok(self.mem.read_u8(self.phys(addr))?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_u8(addr))?)
     }
 
     /// Stores a 32-bit word through the data cache.
@@ -287,7 +351,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault.
     pub fn store_u32(&mut self, addr: u32, value: u32) -> Result<(), AppError> {
         self.charge(1)?;
-        Ok(self.mem.write_u32(self.phys(addr), value)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.write_u32(addr, value))?)
     }
 
     /// Stores a 16-bit half-word through the data cache.
@@ -297,7 +362,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault.
     pub fn store_u16(&mut self, addr: u32, value: u16) -> Result<(), AppError> {
         self.charge(1)?;
-        Ok(self.mem.write_u16(self.phys(addr), value)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.write_u16(addr, value))?)
     }
 
     /// Stores a byte through the data cache.
@@ -307,7 +373,8 @@ impl Machine {
     /// Fuel exhaustion or a memory fault.
     pub fn store_u8(&mut self, addr: u32, value: u8) -> Result<(), AppError> {
         self.charge(1)?;
-        Ok(self.mem.write_u8(self.phys(addr), value)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.write_u8(addr, value))?)
     }
 
     /// Runs a whole batch of data accesses: one fuel check and one
@@ -327,7 +394,8 @@ impl Machine {
     /// Fuel exhaustion (before any access commits) or a memory fault.
     pub fn run_accesses(&mut self, run: &[Access], out: &mut Vec<u32>) -> Result<(), AppError> {
         self.charge(run.len() as u64)?;
-        Ok(self.mem.access_run_masked(run, self.addr_mask, out)?)
+        let mask = self.addr_mask;
+        Ok(on_mem!(&mut self.mem, m => m.access_run_masked(run, mask, out))?)
     }
 
     /// Reads `len` bytes starting at `addr` into `out` (appended): one
@@ -341,7 +409,8 @@ impl Machine {
     /// Fuel exhaustion (before any byte commits) or a memory fault.
     pub fn read_block(&mut self, addr: u32, len: u32, out: &mut Vec<u8>) -> Result<(), AppError> {
         self.charge(u64::from(len))?;
-        Ok(self.mem.read_block_u8(self.phys(addr), len, out)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_block_u8(addr, len, out))?)
     }
 
     /// Writes `bytes` starting at `addr`: one fuel check and one
@@ -353,7 +422,8 @@ impl Machine {
     /// Fuel exhaustion (before any byte commits) or a memory fault.
     pub fn write_block(&mut self, addr: u32, bytes: &[u8]) -> Result<(), AppError> {
         self.charge(bytes.len() as u64)?;
-        Ok(self.mem.write_block_u8(self.phys(addr), bytes)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.write_block_u8(addr, bytes))?)
     }
 
     /// Reads `n` aligned 32-bit words starting at `addr` (appended to
@@ -372,7 +442,8 @@ impl Machine {
         out: &mut Vec<u32>,
     ) -> Result<(), AppError> {
         self.charge(u64::from(n))?;
-        Ok(self.mem.read_block_u32(self.phys(addr), n, out)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_block_u32(addr, n, out))?)
     }
 
     /// Reads `n` aligned 16-bit half-words starting at `addr` (appended
@@ -389,7 +460,8 @@ impl Machine {
         out: &mut Vec<u32>,
     ) -> Result<(), AppError> {
         self.charge(u64::from(n))?;
-        Ok(self.mem.read_block_u16(self.phys(addr), n, out)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.read_block_u16(addr, n, out))?)
     }
 
     /// Writes `words` as aligned 32-bit stores starting at `addr`,
@@ -400,7 +472,8 @@ impl Machine {
     /// Fuel exhaustion (before any word commits) or a memory fault.
     pub fn write_block_u32(&mut self, addr: u32, words: &[u32]) -> Result<(), AppError> {
         self.charge(words.len() as u64)?;
-        Ok(self.mem.write_block_u32(self.phys(addr), words)?)
+        let addr = self.phys(addr);
+        Ok(on_mem!(&mut self.mem, m => m.write_block_u32(addr, words))?)
     }
 
     /// Allocates simulated memory (control-plane table space).
@@ -445,7 +518,7 @@ impl Machine {
         }
         let addr = self.dma_bufs[self.next_buf];
         self.next_buf = (self.next_buf + 1) % self.dma_bufs.len();
-        let result = self.mem.host_write_block(addr, &bytes);
+        let result = on_mem!(&mut self.mem, m => m.host_write_block(addr, &bytes));
         self.dma_scratch = bytes;
         result?;
         Ok(PacketView {
@@ -460,62 +533,91 @@ impl Machine {
         self.instructions
     }
 
-    /// Elapsed core cycles (instructions plus memory stalls).
+    /// Elapsed core cycles (instructions plus memory stalls); zero on a
+    /// golden machine.
     pub fn cycles(&self) -> f64 {
-        self.mem.cycles()
+        match &self.mem {
+            Memory::Cached(m) => m.cycles(),
+            Memory::Flat(_) => 0.0,
+        }
     }
 
-    /// Cache/memory statistics.
+    /// Cache/memory statistics; all zero on a golden machine.
     pub fn stats(&self) -> &MemStats {
-        self.mem.stats()
+        match &self.mem {
+            Memory::Cached(m) => m.stats(),
+            Memory::Flat(f) => f.stats(),
+        }
     }
 
     /// Cache/memory energy so far (core energy is added by the
-    /// processor layer from the cycle count).
+    /// processor layer from the cycle count); zero on a golden machine.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.mem.energy()
+        match &self.mem {
+            Memory::Cached(m) => m.energy(),
+            Memory::Flat(_) => EnergyBreakdown::default(),
+        }
     }
 
-    /// Changes the cache clock, charging the switch penalty.
+    /// Changes the cache clock, charging the switch penalty (no-op on a
+    /// golden machine).
     ///
     /// # Panics
     ///
     /// Panics if `cr` is not in `(0, 1]`.
     pub fn set_cycle(&mut self, cr: f64) {
-        self.mem.set_cycle(cr);
+        if let Memory::Cached(m) = &mut self.mem {
+            m.set_cycle(cr);
+        }
     }
 
-    /// Changes the cache clock with no penalty (static configuration).
+    /// Changes the cache clock with no penalty (static configuration;
+    /// no-op on a golden machine).
     ///
     /// # Panics
     ///
     /// Panics if `cr` is not in `(0, 1]`.
     pub fn set_cycle_free(&mut self, cr: f64) {
-        self.mem.set_cycle_free(cr);
+        if let Memory::Cached(m) = &mut self.mem {
+            m.set_cycle_free(cr);
+        }
     }
 
-    /// Current relative cycle time of the data cache.
+    /// Current relative cycle time of the data cache (nominal 1.0 on a
+    /// golden machine).
     pub fn cycle_time(&self) -> f64 {
-        self.mem.cycle_time()
+        match &self.mem {
+            Memory::Cached(m) => m.cycle_time(),
+            Memory::Flat(_) => 1.0,
+        }
     }
 
-    /// Current relative voltage swing of the data cache.
+    /// Current relative voltage swing of the data cache (full swing on
+    /// a golden machine).
     pub fn voltage_swing(&self) -> f64 {
-        self.mem.voltage_swing()
+        match &self.mem {
+            Memory::Cached(m) => m.voltage_swing(),
+            Memory::Flat(_) => 1.0,
+        }
     }
 
-    /// Adds controller-overhead energy, in nanojoules.
+    /// Adds controller-overhead energy, in nanojoules (no-op on a golden
+    /// machine).
     pub fn add_overhead_energy(&mut self, nj: f64) {
-        self.mem.add_overhead_energy(nj);
+        if let Memory::Cached(m) = &mut self.mem {
+            m.add_overhead_energy(nj);
+        }
     }
 
     /// Writes every dirty cache line back to L2 (see
     /// [`cache_sim::MemSystem::writeback_all`]); the runner calls this
-    /// at the control-to-data-plane transition.
+    /// at the control-to-data-plane transition. A golden machine has no
+    /// cache to drain.
     pub fn writeback_all(&mut self) {
-        self.mem
-            .writeback_all()
-            .expect("resident lines are within the backing store");
+        if let Memory::Cached(m) = &mut self.mem {
+            m.writeback_all()
+                .expect("resident lines are within the backing store");
+        }
     }
 
     /// Host (debug) read of architectural state — no faults, no timing.
@@ -524,7 +626,7 @@ impl Machine {
     ///
     /// Returns a memory fault for bad addresses.
     pub fn host_read_u32(&self, addr: u32) -> Result<u32, AppError> {
-        Ok(self.mem.host_read_u32(addr)?)
+        Ok(on_mem!(&self.mem, m => m.host_read_u32(addr))?)
     }
 }
 
