@@ -573,21 +573,24 @@ impl DataCache {
     /// Installs a line fetched from the next level, evicting the victim.
     ///
     /// Returns the evicted line's `(base_addr, data)` if it was dirty.
+    #[cfg(test)]
     pub(crate) fn fill(&mut self, addr: u32, way: usize, data: &[u8]) -> Option<(u32, Vec<u8>)> {
-        assert_eq!(data.len() as u32, self.geom.line_size());
+        let mut buf = data.to_vec();
+        self.fill_swap(addr, way, &mut buf).map(|base| (base, buf))
+    }
+
+    /// Installs the line fetched from the next level into `buf`,
+    /// evicting the victim without allocating. If the victim was dirty,
+    /// its data is swapped into `buf` and its base address returned, for
+    /// the caller to write back; otherwise `buf` is left as it was.
+    pub(crate) fn fill_swap(&mut self, addr: u32, way: usize, buf: &mut [u8]) -> Option<u32> {
+        assert_eq!(buf.len() as u32, self.geom.line_size());
         let set = self.geom.set_of(addr);
         let idx = self.line_index(set, way);
         debug_assert!(!self.disabled[idx], "refill into a disabled way");
-        let evicted = {
-            let line = &self.lines[idx];
-            if line.valid && line.dirty {
-                let base = (line.tag * self.geom.sets() + set) * self.geom.line_size();
-                Some((base, line.data.to_vec()))
-            } else {
-                None
-            }
-        };
         let line = &mut self.lines[idx];
+        let evicted = (line.valid && line.dirty)
+            .then(|| (line.tag * self.geom.sets() + set) * self.geom.line_size());
         line.tag = self.geom.tag_of(addr);
         line.valid = true;
         line.dirty = false;
@@ -596,7 +599,11 @@ impl DataCache {
         // encoding until a checking access actually needs them.
         line.suspect = false;
         line.codes_valid = false;
-        line.data.copy_from_slice(data);
+        if evicted.is_some() {
+            line.data.swap_with_slice(buf);
+        } else {
+            line.data.copy_from_slice(buf);
+        }
         self.touch(set, way);
         evicted
     }

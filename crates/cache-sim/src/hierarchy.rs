@@ -13,6 +13,7 @@ use crate::secded::{secded_decode, SecdedOutcome, SECDED_CODE_BITS};
 use crate::stats::MemStats;
 use crate::WORD_BITS;
 use energy_model::EnergyBreakdown;
+use fault_model::multibit::EventProbabilities;
 use fault_model::{FaultEvent, FaultSampler, PersistentFaultProcess, SamplingMode};
 
 /// Width in bits of the stored per-word parity signature (one even-parity
@@ -117,11 +118,11 @@ pub struct MemSystem {
     /// width for tag-array faults so an aliased writeback stays in
     /// range. 10 bits for the default 4 MiB / 4 KB-direct-mapped config.
     tag_width: u32,
-    /// Per-bit fault probability of the L2 data array at its own clock
-    /// ([`MemConfig::l2_cycle`]), cached at construction. Consulted only
-    /// when the opt-in [`FaultTargets::l2`](crate::FaultTargets) target
-    /// is on.
-    l2_per_bit: f64,
+    /// Fault-event probabilities of one L2 data word at the L2's own
+    /// clock ([`MemConfig::l2_cycle`]), fixed for the system's lifetime
+    /// and so computed once at construction. Consulted only when the
+    /// opt-in [`FaultTargets::l2`](crate::FaultTargets) target is on.
+    l2_word_probs: EventProbabilities,
     /// Cached L1 stall per access at the current clock (recomputed by
     /// `refresh_timing`); identical to [`MemSystem::l1_stall`] so the
     /// fast path's accrual is bitwise equal to the slow path's.
@@ -184,7 +185,8 @@ impl MemSystem {
         let tag_width = backing_bits
             .saturating_sub(line_bits + set_bits)
             .clamp(1, 32);
-        let l2_per_bit = cfg.fault_model.per_bit_at_cycle(cfg.l2_cycle);
+        let l2_word_probs = sampler
+            .aux_event_probabilities_at(cfg.fault_model.per_bit_at_cycle(cfg.l2_cycle), WORD_BITS);
         let code = match cfg.detection {
             DetectionScheme::Secded => WordCode::Secded,
             _ => WordCode::ParitySignature,
@@ -210,7 +212,7 @@ impl MemSystem {
             cycles: 0.0,
             energy: EnergyBreakdown::default(),
             tag_width,
-            l2_per_bit,
+            l2_word_probs,
             l1_stall_c: 0.0,
             read_nj: 0.0,
             write_nj: 0.0,
@@ -388,7 +390,7 @@ impl MemSystem {
     /// ([`MemConfig::l2_cycle`]). Callers gate on `cfg.targets.l2`, so
     /// the sampler draws nothing while the target is off.
     fn maybe_corrupt_l2_word(&mut self, word: u32) -> u32 {
-        let fault = self.sampler.sample_aux_at(self.l2_per_bit, WORD_BITS);
+        let fault = self.sampler.sample_aux_with(self.l2_word_probs, WORD_BITS);
         if fault.is_fault() {
             self.stats.l2_faults_injected += 1;
             word ^ fault.mask()
@@ -436,11 +438,13 @@ impl MemSystem {
                 if self.cfg.targets.l2 {
                     self.maybe_corrupt_l2_block(&mut buf);
                 }
-                let evicted = self.l1.fill(base, way, &buf);
+                // A dirty victim's data comes back in `buf`.
+                let written = match self.l1.fill_swap(base, way, &mut buf) {
+                    Some(evicted_base) => self.writeback(evicted_base, &mut buf),
+                    None => Ok(()),
+                };
                 self.refill_buf = buf;
-                if let Some((evicted_base, data)) = evicted {
-                    self.writeback(evicted_base, &data)?;
-                }
+                written?;
                 Ok(Some(way))
             }
             Lookup::Bypass => Ok(None),
@@ -493,18 +497,17 @@ impl MemSystem {
         }
     }
 
-    fn writeback(&mut self, base: u32, data: &[u8]) -> Result<(), MemError> {
+    /// Writes an evicted line back to the L2/backing. `data` is the
+    /// caller's copy of the line, which an L2 fault corrupts in place.
+    fn writeback(&mut self, base: u32, data: &mut [u8]) -> Result<(), MemError> {
         self.stats.writebacks += 1;
         if self.cfg.targets.l2 {
             // The deposited copy is what later refills and strike
             // refetches will call "truth", so an L2 fault here is a
             // persistent corruption of the architectural state.
-            let mut corrupted = data.to_vec();
-            self.maybe_corrupt_l2_block(&mut corrupted);
-            self.backing.write_block(base, &corrupted)?;
-        } else {
-            self.backing.write_block(base, data)?;
+            self.maybe_corrupt_l2_block(data);
         }
+        self.backing.write_block(base, data)?;
         self.charge_l2_access(base, false);
         Ok(())
     }
@@ -751,7 +754,7 @@ impl MemSystem {
             let off = self.cfg.l1.offset_of(addr) as usize & !3;
             data[off..off + 4].copy_from_slice(&truth.to_le_bytes());
             self.stats.salvage_writebacks += 1;
-            self.writeback(base, &data)?;
+            self.writeback(base, &mut data)?;
         }
         self.stats.ways_disabled += 1;
         Ok(())
@@ -775,9 +778,9 @@ impl MemSystem {
         if self.l1.way_disabled(set, way) {
             return Ok(false);
         }
-        if let Some((base, data)) = self.l1.disable_way(set, way) {
+        if let Some((base, mut data)) = self.l1.disable_way(set, way) {
             self.stats.salvage_writebacks += 1;
-            self.writeback(base, &data)?;
+            self.writeback(base, &mut data)?;
         }
         self.stats.ways_disabled += 1;
         Ok(true)
@@ -1650,8 +1653,8 @@ impl MemSystem {
     ///
     /// Returns [`MemError`] if a line address escapes the backing store.
     pub fn writeback_all(&mut self) -> Result<(), MemError> {
-        for (base, data) in self.l1.drain_dirty() {
-            self.writeback(base, &data)?;
+        for (base, mut data) in self.l1.drain_dirty() {
+            self.writeback(base, &mut data)?;
         }
         Ok(())
     }

@@ -17,6 +17,8 @@ pub(crate) struct GoldenPass {
     machine: Machine,
     app: Box<dyn PacketApp>,
     fuel: u64,
+    /// The last packet's observations, reused across steps.
+    obs: Vec<Observation>,
 }
 
 impl GoldenPass {
@@ -36,27 +38,63 @@ impl GoldenPass {
         machine.set_fuel(app.setup_fuel());
         let init_obs = app.setup(&mut machine)?;
         let fuel = app.fuel_per_packet();
-        Ok((GoldenPass { machine, app, fuel }, init_obs))
+        let pass = GoldenPass {
+            machine,
+            app,
+            fuel,
+            obs: Vec::new(),
+        };
+        Ok((pass, init_obs))
     }
 
-    /// Receives and processes one packet, returning its observations.
+    /// Receives and processes one packet, returning its observations
+    /// from a buffer the pass reuses (valid until the next step).
     ///
     /// # Errors
     ///
     /// A packet too large for the DMA ring, or an exhausted fuel
     /// budget.
-    pub(crate) fn step(&mut self, pkt: &Packet) -> Result<Vec<Observation>, AppError> {
+    pub(crate) fn step(&mut self, pkt: &Packet) -> Result<&[Observation], AppError> {
         let view = self.machine.dma_packet(pkt)?;
         self.machine.set_fuel(self.fuel);
-        self.app.process(&mut self.machine, view)
+        self.app
+            .process_into(&mut self.machine, view, &mut self.obs)?;
+        Ok(&self.obs)
     }
 }
 
-/// Golden (fault-free) reference observations for one app over a trace.
+/// Golden (fault-free) reference observations for one app over a trace,
+/// stored flat: every packet's observations back to back in one buffer,
+/// delimited by per-packet offsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenData {
     init_obs: Vec<Observation>,
-    per_packet: Vec<Vec<Observation>>,
+    /// Every packet's observations, in trace order.
+    obs: Vec<Observation>,
+    /// Packet `i`'s observations are `obs[offsets[i]..offsets[i + 1]]`;
+    /// one entry more than there are packets, starting at 0.
+    offsets: Vec<usize>,
+}
+
+impl GoldenData {
+    /// The control plane's initialization observations.
+    pub fn init_obs(&self) -> &[Observation] {
+        &self.init_obs
+    }
+
+    /// Number of packets covered.
+    pub fn packets(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Packet `idx`'s observations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below [`GoldenData::packets`].
+    pub fn packet(&self, idx: usize) -> &[Observation] {
+        &self.obs[self.offsets[idx]..self.offsets[idx + 1]]
+    }
 }
 
 /// Runs NetBench applications on a clumsy design point and reports the
@@ -107,17 +145,20 @@ impl ClumsyProcessor {
     pub fn golden(kind: AppKind, trace: &Trace) -> GoldenData {
         let (mut pass, init_obs) =
             GoldenPass::boot(kind, trace).expect("golden setup cannot fail without faults");
-        let per_packet = trace
-            .packets
-            .iter()
-            .map(|pkt| {
-                pass.step(pkt)
-                    .expect("golden processing cannot fail without faults")
-            })
-            .collect();
+        let mut obs = Vec::new();
+        let mut offsets = Vec::with_capacity(trace.packets.len() + 1);
+        offsets.push(0);
+        for pkt in &trace.packets {
+            let packet_obs = pass
+                .step(pkt)
+                .expect("golden processing cannot fail without faults");
+            obs.extend_from_slice(packet_obs);
+            offsets.push(obs.len());
+        }
         GoldenData {
             init_obs,
-            per_packet,
+            obs,
+            offsets,
         }
     }
 
@@ -135,7 +176,7 @@ impl ClumsyProcessor {
     /// Panics if `golden` was computed for a different trace length.
     pub fn run_with_golden(&self, kind: AppKind, trace: &Trace, golden: &GoldenData) -> RunReport {
         assert_eq!(
-            golden.per_packet.len(),
+            golden.packets(),
             trace.packets.len(),
             "golden data does not match the trace"
         );
@@ -210,6 +251,8 @@ impl ClumsyProcessor {
         let detection = self.cfg.mem.detection;
         let mut faults_seen = Self::fault_count(&machine, detection);
         let mut epoch_acc = 0u64;
+        // One observation buffer for the whole trial.
+        let mut obs = Vec::new();
         for (idx, pkt) in trace.packets.iter().enumerate() {
             let view = match machine.dma_packet(pkt) {
                 Ok(v) => v,
@@ -222,10 +265,10 @@ impl ClumsyProcessor {
                 }
             };
             machine.set_fuel(fuel);
-            match app.process(&mut machine, view) {
-                Ok(obs) => {
+            match app.process_into(&mut machine, view, &mut obs) {
+                Ok(()) => {
                     report.packets_completed += 1;
-                    let diff = diff_observations(&golden.per_packet[idx], &obs);
+                    let diff = diff_observations(golden.packet(idx), &obs);
                     if diff.has_error() {
                         report.erroneous_packets += 1;
                         for cat in diff.erroneous {
@@ -417,6 +460,25 @@ mod tests {
         let final_cr = r.freq_trace.last().unwrap().1;
         assert!(final_cr <= 0.5, "should have climbed, got {final_cr}");
         assert!(r.stats.freq_switches >= 2);
+    }
+
+    #[test]
+    fn flat_golden_data_matches_per_packet_processing() {
+        let t = trace();
+        for kind in AppKind::extended() {
+            let golden = ClumsyProcessor::golden(kind, &t);
+            let mut m = Machine::golden();
+            let mut app = kind.instantiate(&t);
+            m.set_fuel(app.setup_fuel());
+            assert_eq!(golden.init_obs(), app.setup(&mut m).unwrap(), "{kind}");
+            assert_eq!(golden.packets(), t.packets.len(), "{kind}");
+            for (i, pkt) in t.packets.iter().enumerate() {
+                let view = m.dma_packet(pkt).unwrap();
+                m.set_fuel(app.fuel_per_packet());
+                let want = app.process(&mut m, view).unwrap();
+                assert_eq!(golden.packet(i), want, "{kind}: packet {i}");
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::processor::{ClumsyProcessor, GoldenPass};
 use crate::telemetry::Telemetry;
 use cache_sim::{DetectionScheme, MemStats};
 use netbench::{
-    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Packet, PacketApp,
-    Plane, Trace, TraceConfig, TrafficClass, TrafficSource, FNV_OFFSET,
+    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Observation, Packet,
+    PacketApp, Plane, Trace, TraceConfig, TrafficClass, TrafficSource, FNV_OFFSET,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1356,6 +1356,8 @@ struct ShardState {
     golden: GoldenPass,
     machine: Machine,
     app: Box<dyn PacketApp>,
+    /// The measured side's observations, reused across packets.
+    obs: Vec<Observation>,
     fuel: u64,
     controller: Option<DynamicController>,
     detection: DetectionScheme,
@@ -1398,6 +1400,7 @@ impl ShardState {
             golden,
             machine,
             app,
+            obs: Vec::new(),
             fuel,
             controller,
             detection,
@@ -1411,15 +1414,16 @@ impl ShardState {
         let golden = self.golden.step(pkt);
         let measured = self.machine.dma_packet(pkt).and_then(|view| {
             self.machine.set_fuel(self.fuel);
-            self.app.process(&mut self.machine, view)
+            self.app
+                .process_into(&mut self.machine, view, &mut self.obs)
         });
         // Never wedge: a fatal on either side drops the packet and keeps
         // both machines alive (watchdog semantics, always on in serve).
         // Without a golden reference there is nothing to diff against,
         // so an oversized packet is a drop, not a panic.
         let verdict = match (golden, measured) {
-            (Ok(golden_obs), Ok(obs)) => {
-                if diff_observations(&golden_obs, &obs).has_error() {
+            (Ok(golden_obs), Ok(())) => {
+                if diff_observations(golden_obs, &self.obs).has_error() {
                     PacketVerdict::Erroneous
                 } else {
                     PacketVerdict::Clean

@@ -20,7 +20,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Seed-domain separator so the persistent process and the transient
@@ -89,12 +88,14 @@ impl fmt::Display for PersistentSiteConfig {
     }
 }
 
-/// The sticky fault-site process itself: a map from physical slot id to
-/// the stuck-bit mask that corrupts reads of that slot.
+/// The sticky fault-site process itself: a table from physical slot id
+/// to the stuck-bit mask that corrupts reads of that slot.
 ///
 /// The caller defines the slot-id space (the cache simulator uses
 /// `(set, way, word-offset)` flattened to one integer, so a site follows
-/// the physical storage cell, not the address cached in it).
+/// the physical storage cell, not the address cached in it). Slot ids
+/// index a dense table that grows to the largest activated id, so they
+/// should be small and dense: array positions, not addresses.
 ///
 /// # Examples
 ///
@@ -111,7 +112,10 @@ impl fmt::Display for PersistentSiteConfig {
 pub struct PersistentFaultProcess {
     cfg: PersistentSiteConfig,
     rng: SmallRng,
-    sites: HashMap<u64, u32>,
+    /// Stuck-bit mask per slot id; `0` means no site (a site's mask is
+    /// never 0). Sites are only ever added, never removed.
+    sites: Vec<u32>,
+    site_count: usize,
     firings: u64,
 }
 
@@ -123,7 +127,8 @@ impl PersistentFaultProcess {
         PersistentFaultProcess {
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ PERSISTENT_SEED_SALT),
-            sites: HashMap::new(),
+            sites: Vec::new(),
+            site_count: 0,
             firings: 0,
         }
     }
@@ -138,13 +143,16 @@ impl PersistentFaultProcess {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is 0 or greater than 32.
+    /// Panics if `width` is 0 or greater than 32, or if an activating
+    /// slot id is too large to index the site table.
     pub fn touch(&mut self, slot: u64, width: u32) -> u32 {
         assert!(
             (1..=32).contains(&width),
             "unsupported slot width {width} (expected 1..=32)"
         );
-        if let Some(&mask) = self.sites.get(&slot) {
+        let idx = usize::try_from(slot).unwrap_or(usize::MAX);
+        let mask = self.sites.get(idx).copied().unwrap_or(0);
+        if mask != 0 {
             // A dedicated draw per touch keeps intermittency i.i.d.; a
             // hard site (duty = 1) skips the draw entirely so the common
             // stuck-at case stays cheap.
@@ -156,7 +164,11 @@ impl PersistentFaultProcess {
         }
         if self.cfg.p_site > 0.0 && self.rng.gen::<f64>() < self.cfg.p_site {
             let mask = 1u32 << self.rng.gen_range(0..width);
-            self.sites.insert(slot, mask);
+            if idx >= self.sites.len() {
+                self.sites.resize(idx + 1, 0);
+            }
+            self.sites[idx] = mask;
+            self.site_count += 1;
             self.firings += 1;
             return mask;
         }
@@ -165,7 +177,7 @@ impl PersistentFaultProcess {
 
     /// Number of activated sites so far.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.site_count
     }
 
     /// Number of accesses an activated site has corrupted so far
@@ -185,9 +197,7 @@ impl fmt::Display for PersistentFaultProcess {
         write!(
             f,
             "{} [{} sites, {} firings]",
-            self.cfg,
-            self.sites.len(),
-            self.firings
+            self.cfg, self.site_count, self.firings
         )
     }
 }
@@ -261,6 +271,40 @@ mod tests {
         }
         let rate = p.site_count() as f64 / n as f64;
         assert!((rate / 0.02 - 1.0).abs() < 0.1, "activation rate {rate}");
+    }
+
+    #[test]
+    fn slot_table_matches_a_site_map_model() {
+        // The keyed-map process the slot table replaced, draw for draw.
+        let cfg = PersistentSiteConfig::intermittent(0.02, 0.5);
+        let seed = 5;
+        let mut rng = SmallRng::seed_from_u64(seed ^ PERSISTENT_SEED_SALT);
+        let mut sites = std::collections::HashMap::new();
+        let mut firings = 0u64;
+        let mut model = |slot: u64| -> u32 {
+            if let Some(&mask) = sites.get(&slot) {
+                if rng.gen::<f64>() < cfg.duty {
+                    firings += 1;
+                    return mask;
+                }
+                return 0;
+            }
+            if rng.gen::<f64>() < cfg.p_site {
+                let mask = 1u32 << rng.gen_range(0..32);
+                sites.insert(slot, mask);
+                firings += 1;
+                return mask;
+            }
+            0
+        };
+        let mut p = PersistentFaultProcess::new(cfg, seed);
+        for i in 0..50_000u64 {
+            // Revisit a small slot range often and a wide one rarely.
+            let slot = if i % 7 == 0 { i % 4096 } else { i % 97 };
+            assert_eq!(p.touch(slot, 32), model(slot), "touch {i}");
+        }
+        assert_eq!(p.site_count(), sites.len());
+        assert_eq!(p.firings(), firings);
     }
 
     #[test]

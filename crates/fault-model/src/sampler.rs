@@ -377,11 +377,7 @@ impl FaultSampler {
             return FaultEvent::none();
         }
         let probs = self.multibit.event_probabilities(self.per_bit, width);
-        let u: f64 = self.rng.gen();
-        if u >= probs.any() {
-            return FaultEvent::none();
-        }
-        self.build_event(u, probs, width)
+        self.sample_aux_with(probs, width)
     }
 
     /// Per-access fault probability of an array clocked *independently*
@@ -395,11 +391,7 @@ impl FaultSampler {
     /// Panics if `width` is 0 or greater than 32, or `per_bit` is not a
     /// probability.
     pub fn aux_fault_probability_at(&self, per_bit: f64, width: u32) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&per_bit),
-            "per-bit fault probability must be in [0, 1], got {per_bit}"
-        );
-        self.multibit.event_probabilities(per_bit, width).any()
+        self.aux_event_probabilities_at(per_bit, width).any()
     }
 
     /// Samples a fault event for one access of an auxiliary array at an
@@ -418,11 +410,44 @@ impl FaultSampler {
         if !self.enabled {
             return FaultEvent::none();
         }
+        let probs = self.aux_event_probabilities_at(per_bit, width);
+        self.sample_aux_with(probs, width)
+    }
+
+    /// The event-class probabilities [`FaultSampler::sample_aux_at`]
+    /// derives from `per_bit` on every call. An array whose rate is fixed
+    /// computes them once and samples with
+    /// [`FaultSampler::sample_aux_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or greater than 32, or `per_bit` is not a
+    /// probability.
+    pub fn aux_event_probabilities_at(&self, per_bit: f64, width: u32) -> EventProbabilities {
         assert!(
             (0.0..=1.0).contains(&per_bit),
             "per-bit fault probability must be in [0, 1], got {per_bit}"
         );
-        let probs = self.multibit.event_probabilities(per_bit, width);
+        self.multibit.event_probabilities(per_bit, width)
+    }
+
+    /// Samples a fault event for one access of a `width`-bit auxiliary
+    /// array at event probabilities precomputed for that width (see
+    /// [`FaultSampler::aux_event_probabilities_at`]). Draws exactly as
+    /// [`FaultSampler::sample_aux_at`] does at the per-bit probability
+    /// they came from: one uniform per call, none while disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or greater than 32.
+    pub fn sample_aux_with(&mut self, probs: EventProbabilities, width: u32) -> FaultEvent {
+        assert!(
+            (1..=32).contains(&width),
+            "width must be in 1..=32, got {width}"
+        );
+        if !self.enabled {
+            return FaultEvent::none();
+        }
         let u: f64 = self.rng.gen();
         if u >= probs.any() {
             return FaultEvent::none();
@@ -749,6 +774,22 @@ mod tests {
             .count();
         let rate = hits as f64 / n as f64;
         assert!((rate / p - 1.0).abs() < 0.15, "rate {rate} vs expected {p}");
+    }
+
+    #[test]
+    fn precomputed_aux_probabilities_draw_like_aux_at() {
+        let per_bit = 0.004;
+        let mut at = FaultSampler::new(FaultProbabilityModel::calibrated(), 31);
+        let mut with = at.clone();
+        let probs = with.aux_event_probabilities_at(per_bit, 32);
+        for i in 0..20_000 {
+            assert_eq!(
+                at.sample_aux_at(per_bit, 32),
+                with.sample_aux_with(probs, 32),
+                "draw {i}"
+            );
+        }
+        assert_eq!(at.sample(32), with.sample(32), "streams stay aligned");
     }
 
     #[test]

@@ -84,6 +84,8 @@ fn encode_sample(
     index: i32,
     step_of: impl Fn(i32) -> i32,
 ) -> (u8, i32, i32) {
+    // A step loaded from a faulty cache can be any 32-bit value, so the
+    // arithmetic wraps (as release builds do) instead of overflowing.
     let step = step_of(index);
     let mut diff = sample - predictor;
     let sign = if diff < 0 { 8u8 } else { 0 };
@@ -94,20 +96,20 @@ fn encode_sample(
     let mut acc = step >> 3;
     if diff >= step {
         nibble |= 4;
-        diff -= step;
-        acc += step;
+        diff = diff.wrapping_sub(step);
+        acc = acc.wrapping_add(step);
     }
     if diff >= step >> 1 {
         nibble |= 2;
-        diff -= step >> 1;
-        acc += step >> 1;
+        diff = diff.wrapping_sub(step >> 1);
+        acc = acc.wrapping_add(step >> 1);
     }
     if diff >= step >> 2 {
         nibble |= 1;
-        acc += step >> 2;
+        acc = acc.wrapping_add(step >> 2);
     }
-    let delta = if sign != 0 { -acc } else { acc };
-    let predictor = (predictor + delta).clamp(-32768, 32767);
+    let delta = if sign != 0 { acc.wrapping_neg() } else { acc };
+    let predictor = predictor.wrapping_add(delta).clamp(-32768, 32767);
     let index = (index + INDEX_TABLE[(nibble & 0xF) as usize]).clamp(0, 88);
     (nibble & 0xF, predictor, index)
 }
@@ -140,7 +142,13 @@ impl PacketApp for Adpcm {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
+        obs.clear();
         let payload = pkt.addr + HEADER_BYTES;
         let samples = ((pkt.wire_len - HEADER_BYTES) / 2).min(1024);
         // The PCM sample sweep has no data-dependent addresses, so it
@@ -166,7 +174,7 @@ impl PacketApp for Adpcm {
             let (nibble, p, _) = encode_sample(sample, predictor, index, |_| step);
             predictor = p;
             let adj = m.load_u32(self.index_table + 4 * u32::from(nibble))? as i32;
-            index = (index + adj).clamp(0, 88);
+            index = index.wrapping_add(adj).clamp(0, 88);
             // Pack nibbles into output words; the stores land in a
             // deferred sequential-address block write flushed after the
             // loop.
@@ -194,11 +202,12 @@ impl PacketApp for Adpcm {
         for &w in &self.loaded {
             signature = signature.rotate_left(7).wrapping_add(u64::from(w));
         }
-        Ok(vec![
+        obs.extend([
             Observation::new(ErrorCategory::MediaSample, signature),
             Observation::new(ErrorCategory::MediaSample, predictor as u32 as u64),
             Observation::new(ErrorCategory::MediaSample, index as u64),
-        ])
+        ]);
+        Ok(())
     }
 }
 

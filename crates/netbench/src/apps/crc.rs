@@ -88,7 +88,13 @@ impl PacketApp for Crc {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
+        obs.clear();
         let payload = pkt.addr + HEADER_BYTES;
         let len = pkt.wire_len - HEADER_BYTES;
         // The payload sweep has no data-dependent addresses, so the whole
@@ -105,10 +111,8 @@ impl PacketApp for Crc {
             let entry = m.load_u32(self.table + idx * 4)?;
             crc = entry ^ (crc >> 8);
         }
-        Ok(vec![Observation::new(
-            ErrorCategory::CrcValue,
-            u64::from(!crc),
-        )])
+        obs.push(Observation::new(ErrorCategory::CrcValue, u64::from(!crc)));
+        Ok(())
     }
 }
 

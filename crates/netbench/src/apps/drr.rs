@@ -53,6 +53,8 @@ pub struct Drr {
     table: Option<RadixTable>,
     flow_base: u32,
     rr_pointer: u32,
+    /// Radix walk scratch, reused across packets.
+    visited: Vec<u32>,
 }
 
 impl Drr {
@@ -69,6 +71,7 @@ impl Drr {
             table: None,
             flow_base: 0,
             rr_pointer: 0,
+            visited: Vec::new(),
         }
     }
 
@@ -169,9 +172,14 @@ impl PacketApp for Drr {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
         let table = self.table.expect("setup must run before process");
-        let mut obs = Vec::new();
+        obs.clear();
 
         let hdr = ip::load_header(m, pkt.addr)?;
 
@@ -181,8 +189,8 @@ impl PacketApp for Drr {
 
         // Route the packet (DRR still forwards; paper marks RouteTable
         // and radix entries).
-        let result = table.lookup(m, hdr.dst_ip)?;
-        lookup_observations(&result, &mut obs);
+        let next_hop = table.lookup_into(m, hdr.dst_ip, &mut self.visited)?;
+        lookup_observations(&self.visited, next_hop, obs);
 
         // Enqueue, then let the scheduler drain the backlog. In the
         // fault-free case exactly one packet is queued, so one departure
@@ -201,7 +209,7 @@ impl PacketApp for Drr {
                 None => break,
             }
         }
-        Ok(obs)
+        Ok(())
     }
 }
 

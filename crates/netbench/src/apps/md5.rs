@@ -129,7 +129,13 @@ impl PacketApp for Md5 {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
+        obs.clear();
         let payload = pkt.addr + HEADER_BYTES;
         let len = (pkt.wire_len - HEADER_BYTES).min(2048);
 
@@ -203,14 +209,13 @@ impl PacketApp for Md5 {
 
         // Store and read back the digest (the signature attached to the
         // outgoing packet) — the marked output.
-        let mut obs = Vec::with_capacity(4);
         for (i, s) in state.iter().enumerate() {
             m.charge(2)?;
             m.store_u32(self.digest_buf + 4 * i as u32, *s)?;
             let v = m.load_u32(self.digest_buf + 4 * i as u32)?;
             obs.push(Observation::new(ErrorCategory::Digest, u64::from(v)));
         }
-        Ok(obs)
+        Ok(())
     }
 }
 

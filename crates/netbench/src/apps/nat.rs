@@ -44,6 +44,8 @@ pub struct Nat {
     table: Option<RadixTable>,
     nat_table: u32,
     pool_counter: u32,
+    /// Radix walk scratch, reused across packets.
+    visited: Vec<u32>,
 }
 
 impl Nat {
@@ -54,6 +56,7 @@ impl Nat {
             table: None,
             nat_table: 0,
             pool_counter: 0,
+            visited: Vec::new(),
         }
     }
 
@@ -124,20 +127,25 @@ impl PacketApp for Nat {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
         let table = self.table.expect("setup must run before process");
-        let mut obs = Vec::new();
+        obs.clear();
 
         let hdr = ip::load_header(m, pkt.addr)?;
 
         // Route the destination to pick the outgoing interface.
-        let result = table.lookup(m, hdr.dst_ip)?;
-        let iface = result.next_hop.unwrap_or(u32::MAX);
+        let next_hop = table.lookup_into(m, hdr.dst_ip, &mut self.visited)?;
+        let iface = next_hop.unwrap_or(u32::MAX);
         obs.push(Observation::new(
             ErrorCategory::InterfaceValue,
             u64::from(iface),
         ));
-        lookup_observations(&result, &mut obs);
+        lookup_observations(&self.visited, next_hop, obs);
 
         // Translate the private source address.
         let (xlat, used_iface) = self.translate(m, hdr.src_ip, iface)?;
@@ -167,7 +175,7 @@ impl PacketApp for Nat {
             ErrorCategory::DestinationAddress,
             u64::from(dst_after),
         ));
-        Ok(obs)
+        Ok(())
     }
 }
 

@@ -34,6 +34,8 @@ use crate::PacketApp;
 pub struct Route {
     prefixes: Vec<PrefixRoute>,
     table: Option<RadixTable>,
+    /// Radix walk scratch, reused across packets.
+    visited: Vec<u32>,
 }
 
 impl Route {
@@ -42,6 +44,7 @@ impl Route {
         Route {
             prefixes,
             table: None,
+            visited: Vec::new(),
         }
     }
 }
@@ -57,9 +60,14 @@ impl PacketApp for Route {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
         let table = self.table.expect("setup must run before process");
-        let mut obs = Vec::new();
+        obs.clear();
 
         // RFC 1812: verify the incoming header checksum.
         let hdr = ip::load_header(m, pkt.addr)?;
@@ -71,14 +79,14 @@ impl PacketApp for Route {
         ));
 
         // Longest-prefix match on the destination.
-        let result = table.lookup(m, hdr.dst_ip)?;
-        lookup_observations(&result, &mut obs);
+        let next_hop = table.lookup_into(m, hdr.dst_ip, &mut self.visited)?;
+        lookup_observations(&self.visited, next_hop, obs);
 
         // Decrement TTL and rewrite the checksum.
         let (ttl, ck) = ip::forward_rewrite(m, pkt.addr, &hdr)?;
         obs.push(Observation::new(ErrorCategory::Ttl, u64::from(ttl)));
         obs.push(Observation::new(ErrorCategory::Checksum, u64::from(ck)));
-        Ok(obs)
+        Ok(())
     }
 }
 

@@ -38,6 +38,8 @@ pub(crate) const INIT_PROBES: usize = 8;
 pub struct Tl {
     prefixes: Vec<PrefixRoute>,
     table: Option<RadixTable>,
+    /// Radix walk scratch, reused across packets.
+    visited: Vec<u32>,
 }
 
 impl Tl {
@@ -46,6 +48,7 @@ impl Tl {
         Tl {
             prefixes,
             table: None,
+            visited: Vec::new(),
         }
     }
 }
@@ -69,9 +72,14 @@ pub(crate) fn setup_radix(
     Ok((table, obs))
 }
 
-/// Converts a lookup result into the shared radix/route observations.
-pub(crate) fn lookup_observations(result: &crate::radix::LookupResult, obs: &mut Vec<Observation>) {
-    for node in result.visited.iter().take(VISIT_OBS_CAP) {
+/// Converts a lookup's walk and match into the shared radix/route
+/// observations.
+pub(crate) fn lookup_observations(
+    visited: &[u32],
+    next_hop: Option<u32>,
+    obs: &mut Vec<Observation>,
+) {
+    for node in visited.iter().take(VISIT_OBS_CAP) {
         obs.push(Observation::new(
             ErrorCategory::RadixTreeEntry,
             u64::from(*node),
@@ -79,7 +87,7 @@ pub(crate) fn lookup_observations(result: &crate::radix::LookupResult, obs: &mut
     }
     obs.push(Observation::new(
         ErrorCategory::RouteTableEntry,
-        u64::from(result.next_hop.unwrap_or(u32::MAX)),
+        u64::from(next_hop.unwrap_or(u32::MAX)),
     ));
 }
 
@@ -94,14 +102,19 @@ impl PacketApp for Tl {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
         let table = self.table.expect("setup must run before process");
+        obs.clear();
         m.charge(2)?;
         let dst = m.load_u32(pkt.addr + ip::W_DST)?;
-        let result = table.lookup(m, dst)?;
-        let mut obs = Vec::new();
-        lookup_observations(&result, &mut obs);
-        Ok(obs)
+        let next_hop = table.lookup_into(m, dst, &mut self.visited)?;
+        lookup_observations(&self.visited, next_hop, obs);
+        Ok(())
     }
 }
 

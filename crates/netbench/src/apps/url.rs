@@ -53,6 +53,8 @@ pub struct Url {
     table: Option<RadixTable>,
     url_table: u32,
     url_count: u32,
+    /// Radix walk scratch, reused across packets.
+    visited: Vec<u32>,
 }
 
 impl Url {
@@ -64,6 +66,7 @@ impl Url {
             urls,
             table: None,
             url_table: 0,
+            visited: Vec::new(),
         }
     }
 
@@ -152,9 +155,14 @@ impl PacketApp for Url {
         Ok(obs)
     }
 
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError> {
         let table = self.table.expect("setup must run before process");
-        let mut obs = Vec::new();
+        obs.clear();
 
         m.charge(2)?;
         let hdr = ip::load_header(m, pkt.addr)?;
@@ -173,8 +181,8 @@ impl PacketApp for Url {
         ));
 
         // Route to the server and forward.
-        let result = table.lookup(m, server)?;
-        lookup_observations(&result, &mut obs);
+        let next_hop = table.lookup_into(m, server, &mut self.visited)?;
+        lookup_observations(&self.visited, next_hop, obs);
         let rewritten = ip::Header {
             dst_ip: server,
             ..hdr
@@ -182,7 +190,7 @@ impl PacketApp for Url {
         let (ttl, ck) = ip::forward_rewrite(m, pkt.addr, &rewritten)?;
         obs.push(Observation::new(ErrorCategory::Ttl, u64::from(ttl)));
         obs.push(Observation::new(ErrorCategory::Checksum, u64::from(ck)));
-        Ok(obs)
+        Ok(())
     }
 }
 

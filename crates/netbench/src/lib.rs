@@ -23,10 +23,11 @@
 //!
 //! Applications implement [`PacketApp`]: a **control-plane** phase
 //! ([`PacketApp::setup`]: building tables) followed by a **data-plane**
-//! phase ([`PacketApp::process`]: one call per packet), matching the
-//! paper's plane separation. Each call returns the packet's
-//! [`Observation`]s — the marked values — which the runner in
-//! `clumsy-core` diffs between a golden (fault-free) and a measured run.
+//! phase ([`PacketApp::process_into`]: one call per packet), matching the
+//! paper's plane separation. Each call fills a caller-owned buffer with
+//! the packet's [`Observation`]s — the marked values — which the runner
+//! in `clumsy-core` diffs between a golden (fault-free) and a measured
+//! run. [`PacketApp::process`] returns them in a fresh `Vec` instead.
 //!
 //! Runaway executions caused by corrupted loop-control data are caught
 //! by per-packet instruction *fuel* and surface as
@@ -89,14 +90,40 @@ pub trait PacketApp {
     /// crashes on a corrupted access.
     fn setup(&mut self, m: &mut Machine) -> Result<Vec<Observation>, AppError>;
 
-    /// Data-plane phase: processes one received packet, returning the
-    /// marked-value observations for error measurement.
+    /// Data-plane phase: processes one received packet into `obs`, a
+    /// buffer the caller owns and reuses across packets.
+    ///
+    /// The contract: clear `obs` first, then push the packet's
+    /// marked-value observations in order. On success `obs` holds
+    /// exactly what [`PacketApp::process`] would return for the same
+    /// packet; on an error its contents are unspecified. Once `obs` and
+    /// the app's own scratch buffers have grown to a packet's size, the
+    /// call allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`AppError`] if processing runs out of fuel (an infinite
     /// loop — the paper's dominant fatal error) or crashes.
-    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError>;
+    fn process_into(
+        &mut self,
+        m: &mut Machine,
+        pkt: PacketView,
+        obs: &mut Vec<Observation>,
+    ) -> Result<(), AppError>;
+
+    /// Data-plane phase: processes one received packet, returning the
+    /// marked-value observations for error measurement. A wrapper
+    /// around [`PacketApp::process_into`] with a fresh buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AppError`] if processing runs out of fuel (an infinite
+    /// loop — the paper's dominant fatal error) or crashes.
+    fn process(&mut self, m: &mut Machine, pkt: PacketView) -> Result<Vec<Observation>, AppError> {
+        let mut obs = Vec::new();
+        self.process_into(m, pkt, &mut obs)?;
+        Ok(obs)
+    }
 
     /// Instruction budget per packet before the run is declared fatal.
     fn fuel_per_packet(&self) -> u64 {

@@ -30,8 +30,6 @@ const OFF_NEXT_HOP: u32 = 24;
 pub struct LookupResult {
     /// The matched next hop, if any route matched.
     pub next_hop: Option<u32>,
-    /// Address of the node holding the matched route (0 if none).
-    pub matched_node: u32,
     /// Addresses of every node traversed, in order.
     pub visited: Vec<u32>,
 }
@@ -131,28 +129,48 @@ impl RadixTable {
     }
 
     /// Longest-prefix-match lookup of `dst`, walking the trie through
-    /// the cache.
-    ///
-    /// The loop's control state (the node's bit index and child
-    /// pointers) is read from simulated memory each step, so corruption
-    /// can send the walk into a cycle — caught by fuel — or out of the
-    /// address space — a crash. Both are the paper's fatal errors.
+    /// the cache. A wrapper around [`RadixTable::lookup_into`] with a
+    /// fresh walk buffer.
     ///
     /// # Errors
     ///
     /// Returns [`AppError`] on fuel exhaustion or a memory crash.
     pub fn lookup(&self, m: &mut Machine, dst: u32) -> Result<LookupResult, AppError> {
-        let mut node = self.root;
-        let mut best: Option<(u32, u32)> = None; // (next_hop, node addr)
         let mut visited = Vec::new();
+        let next_hop = self.lookup_into(m, dst, &mut visited)?;
+        Ok(LookupResult { next_hop, visited })
+    }
+
+    /// Longest-prefix-match lookup of `dst` that records the address of
+    /// every node it walks, in order, into `visited` (cleared first), a
+    /// scratch buffer the caller reuses across lookups. Returns the
+    /// matched next hop, if any route matched.
+    ///
+    /// The loop's control state (the node's bit index and child
+    /// pointers) is read from simulated memory each step, so corruption
+    /// can send the walk into a cycle — caught by fuel — or out of the
+    /// address space — a crash. Both are the paper's fatal errors. On an
+    /// error `visited` holds the walk up to the failing step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AppError`] on fuel exhaustion or a memory crash.
+    pub fn lookup_into(
+        &self,
+        m: &mut Machine,
+        dst: u32,
+        visited: &mut Vec<u32>,
+    ) -> Result<Option<u32>, AppError> {
+        visited.clear();
+        let mut node = self.root;
+        let mut next_hop = None;
         while node != 0 {
             m.charge(4)?;
             visited.push(node);
             let bit_index = m.load_u32(node + OFF_BIT_INDEX)?;
             let has_route = m.load_u32(node + OFF_HAS_ROUTE)?;
             if has_route != 0 {
-                let nh = m.load_u32(node + OFF_NEXT_HOP)?;
-                best = Some((nh, node));
+                next_hop = Some(m.load_u32(node + OFF_NEXT_HOP)?);
             }
             if bit_index >= 32 {
                 break;
@@ -161,11 +179,7 @@ impl RadixTable {
             let child_off = if bit == 0 { OFF_LEFT } else { OFF_RIGHT };
             node = m.load_u32(node + child_off)?;
         }
-        Ok(LookupResult {
-            next_hop: best.map(|(nh, _)| nh),
-            matched_node: best.map(|(_, n)| n).unwrap_or(0),
-            visited,
-        })
+        Ok(next_hop)
     }
 
     /// Reads back the installed next hop for `route` (used to sample
