@@ -6,16 +6,29 @@
 //! sampler states (fault-free golden, the exact per-access reference,
 //! the default geometric skip-ahead) with three detection schemes
 //! (none, parity, ECC), each measured over the same mixed
-//! read/write/subword workload on a mostly-hitting working set.
+//! read/write/subword workload on a mostly-hitting working set. Two more
+//! cells add hard persistent fault sites (`p_site = 1e-6`) to the
+//! skip-ahead sampler, for parity and ECC: the configuration that pins
+//! every access to the per-access checking path, as durable campaigns
+//! with way-disabling run it.
 //!
-//! Writes `results/BENCH_hotpath.json` and prints one line per cell.
-//! Scale with `CLUMSY_HOTPATH_ACCESSES` (default 4 million per cell).
+//! Prints one line per cell. Scale with `CLUMSY_HOTPATH_ACCESSES`
+//! (default 4 million per cell). Only a default-scale run writes the
+//! recorded `results/BENCH_hotpath.json`; any other scale writes
+//! `target/reduced/BENCH_hotpath.json`, so a quick run never overwrites
+//! the recording.
 
 use cache_sim::{Access, DetectionScheme, MemConfig, MemSystem};
-use clumsy_bench::{or_exit, write_file};
-use fault_model::{FaultProbabilityModel, SamplingMode};
+use clumsy_bench::{or_exit, reduced_dir, results_dir, write_file_in, EXIT_USAGE};
+use fault_model::{FaultProbabilityModel, PersistentSiteConfig, SamplingMode};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Accesses per cell of a recording run.
+const DEFAULT_ACCESSES: u64 = 4_000_000;
+
+/// Site activation probability of the persistent cells.
+const P_SITE: f64 = 1e-6;
 
 /// Working-set footprint in bytes: half the 4 KB L1, so the loop mostly
 /// hits but still exercises tag checks over many sets.
@@ -30,6 +43,8 @@ enum SamplerCell {
     Exact,
     /// Geometric gap sampling (the default).
     SkipAhead,
+    /// Skip-ahead plus hard persistent fault sites at [`P_SITE`].
+    Persistent,
 }
 
 impl SamplerCell {
@@ -38,6 +53,7 @@ impl SamplerCell {
             SamplerCell::FaultFree => "fault-free",
             SamplerCell::Exact => "exact",
             SamplerCell::SkipAhead => "skip-ahead",
+            SamplerCell::Persistent => "skip-ahead+persistent",
         }
     }
 }
@@ -89,13 +105,16 @@ fn measure(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Cell
     // The calibrated model at the paper's quarter clock — the same
     // fault process every engine run uses, so these cells measure the
     // rates the packet numbers are actually bounded by.
-    let cfg = MemConfig::strongarm()
+    let mut cfg = MemConfig::strongarm()
         .with_detection(detection)
         .with_fault_model(FaultProbabilityModel::calibrated())
         .with_sampling(match sampler {
             SamplerCell::Exact => SamplingMode::PerAccess,
             _ => SamplingMode::SkipAhead,
         });
+    if matches!(sampler, SamplerCell::Persistent) {
+        cfg = cfg.with_persistent(PersistentSiteConfig::hard(P_SITE));
+    }
     let mut mem = MemSystem::new(cfg, 42);
     mem.set_cycle_free(0.25);
     if matches!(sampler, SamplerCell::FaultFree) {
@@ -132,13 +151,19 @@ fn measure(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Cell
 }
 
 fn main() {
-    let total: u64 = std::env::var("CLUMSY_HOTPATH_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000_000);
+    let total = match std::env::var("CLUMSY_HOTPATH_ACCESSES") {
+        Err(_) => DEFAULT_ACCESSES,
+        Ok(v) => match v.parse::<u64>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("error: CLUMSY_HOTPATH_ACCESSES must be a positive integer, got {v:?}");
+                std::process::exit(EXIT_USAGE);
+            }
+        },
+    };
     println!("mem hotpath: {total} accesses per cell, {FOOTPRINT} B working set");
 
-    let mut cells = Vec::new();
+    let mut grid = Vec::new();
     for detection in [
         DetectionScheme::None,
         DetectionScheme::Parity,
@@ -149,17 +174,24 @@ fn main() {
             SamplerCell::Exact,
             SamplerCell::SkipAhead,
         ] {
-            let cell = measure(detection, sampler, total);
-            println!(
-                "{:>11} / {:<10} {:>7.1} M acc/s  (fast {:.1}%, slow {:.1}%)",
-                cell.detection,
-                cell.sampler,
-                cell.per_s() / 1e6,
-                100.0 * cell.fast_forward as f64 / cell.accesses as f64,
-                100.0 * cell.slow_path as f64 / cell.accesses as f64,
-            );
-            cells.push(cell);
+            grid.push((detection, sampler));
         }
+    }
+    grid.push((DetectionScheme::Parity, SamplerCell::Persistent));
+    grid.push((DetectionScheme::Secded, SamplerCell::Persistent));
+
+    let mut cells = Vec::new();
+    for (detection, sampler) in grid {
+        let cell = measure(detection, sampler, total);
+        println!(
+            "{:>11} / {:<21} {:>7.1} M acc/s  (fast {:.1}%, slow {:.1}%)",
+            cell.detection,
+            cell.sampler,
+            cell.per_s() / 1e6,
+            100.0 * cell.fast_forward as f64 / cell.accesses as f64,
+            100.0 * cell.slow_path as f64 / cell.accesses as f64,
+        );
+        cells.push(cell);
     }
 
     let mut json = String::from("{\n  \"bench\": \"hotpath\",\n");
@@ -180,6 +212,11 @@ fn main() {
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-    let path = or_exit(write_file("BENCH_hotpath.json", json.as_bytes()));
+    let dir = if total == DEFAULT_ACCESSES {
+        results_dir()
+    } else {
+        reduced_dir()
+    };
+    let path = or_exit(dir.and_then(|d| write_file_in(&d, "BENCH_hotpath.json", json.as_bytes())));
     println!("wrote {}", path.display());
 }

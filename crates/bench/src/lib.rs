@@ -93,14 +93,32 @@ pub fn results_dir() -> Result<PathBuf, IoFailure> {
             ));
         }
         Ok(v) => PathBuf::from(v),
-        Err(_) => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| IoFailure::new(PathBuf::from("<current dir>"), e))?;
-            workspace_root(&cwd).unwrap_or(cwd).join("results")
-        }
+        Err(_) => root_dir()?.join("results"),
     };
     fs::create_dir_all(&dir).map_err(|e| IoFailure::new(dir.clone(), e))?;
     Ok(dir)
+}
+
+/// Directory for outputs of runs at a non-recording scale
+/// (`target/reduced/` at the workspace root), so a quick run can never
+/// overwrite a committed result file.
+///
+/// # Errors
+///
+/// [`IoFailure`] if the working directory is unreadable or the
+/// directory cannot be created.
+pub fn reduced_dir() -> Result<PathBuf, IoFailure> {
+    let dir = root_dir()?.join("target").join("reduced");
+    fs::create_dir_all(&dir).map_err(|e| IoFailure::new(dir.clone(), e))?;
+    Ok(dir)
+}
+
+/// The workspace root above the working directory, or the working
+/// directory itself outside a workspace.
+fn root_dir() -> Result<PathBuf, IoFailure> {
+    let cwd =
+        std::env::current_dir().map_err(|e| IoFailure::new(PathBuf::from("<current dir>"), e))?;
+    Ok(workspace_root(&cwd).unwrap_or(cwd))
 }
 
 /// Directory run journals live in (`results/journal/`), created on
@@ -164,7 +182,20 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> Result<Pa
 /// [`IoFailure`] if the results directory or the file cannot be
 /// written.
 pub fn write_file(name: &str, bytes: &[u8]) -> Result<PathBuf, IoFailure> {
-    let path = results_dir()?.join(name);
+    write_file_in(&results_dir()?, name, bytes)
+}
+
+/// Atomically writes `bytes` to `dir/name`, returning the path.
+///
+/// # Errors
+///
+/// [`IoFailure`] if the file cannot be written.
+pub fn write_file_in(
+    dir: &std::path::Path,
+    name: &str,
+    bytes: &[u8],
+) -> Result<PathBuf, IoFailure> {
+    let path = dir.join(name);
     clumsy_core::atomic_write(&path, bytes).map_err(|e| IoFailure::new(path.clone(), e))?;
     Ok(path)
 }

@@ -131,9 +131,13 @@ pub struct MemSystem {
     read_nj: f64,
     /// Cached per-access L1 write energy at the current swing/detection.
     write_nj: f64,
-    /// Config-constant fast-path gate: false when an opt-in aux target
-    /// (tag array, or parity bits under enabled detection) injects on
-    /// every access, forcing everything through the slow path.
+    /// Config-constant gate of the batched block lanes: false when an
+    /// opt-in aux target (tag array, or parity bits under enabled
+    /// detection) draws from the sampler's stream on every access, so
+    /// no grant may span accesses.
+    bulk_ok: bool,
+    /// Config-constant fast-path gate: `bulk_ok`, and no persistent
+    /// sites (whose per-read draw every read must make).
     fast_ok: bool,
     /// Whether fast-path reads must skip suspect lines (a detection
     /// scheme is enabled and would flag the stored mismatch).
@@ -175,6 +179,20 @@ struct RunSegment {
     len: u32,
 }
 
+/// How a block sweep commits its accesses (see [`MemSystem::block_lane`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockLane {
+    /// The fault-free fast path: one skip-ahead grant per group, bulk
+    /// data moves, counted as fast-forward accesses.
+    Fast,
+    /// The checked lane, for a fast path closed by persistent sites
+    /// alone: one skip-ahead grant per group for the transient process,
+    /// a site draw per read, counted as slow-path accesses.
+    Checked,
+    /// One access at a time through the single-access entry points.
+    Single,
+}
+
 impl MemSystem {
     /// Creates a memory system at the full-swing clock (`Cr = 1`).
     pub fn new(cfg: MemConfig, seed: u64) -> Self {
@@ -196,9 +214,8 @@ impl MemSystem {
         // sampling stream: runs with those targets stay on the slow path.
         // Persistent sites likewise must be visible to every read, so
         // they too pin the system to the exact per-access path.
-        let fast_ok = !cfg.targets.tag
-            && (!cfg.targets.parity || !cfg.detection.is_enabled())
-            && cfg.persistent.is_none();
+        let bulk_ok = !cfg.targets.tag && (!cfg.targets.parity || !cfg.detection.is_enabled());
+        let fast_ok = bulk_ok && cfg.persistent.is_none();
         let need_clean = cfg.detection.is_enabled();
         let refill_buf = vec![0u8; cfg.l1.line_size() as usize].into_boxed_slice();
         let mut sys = MemSystem {
@@ -216,6 +233,7 @@ impl MemSystem {
             l1_stall_c: 0.0,
             read_nj: 0.0,
             write_nj: 0.0,
+            bulk_ok,
             fast_ok,
             need_clean,
             fast_path: true,
@@ -556,53 +574,96 @@ impl MemSystem {
         self.read_u32_inner(addr)
     }
 
+    /// The checked read of a resident word: fault draws, detection and
+    /// strike recovery.
     fn read_resident_word(&mut self, addr: u32, way: usize) -> Result<u32, MemError> {
+        let (flip, code_flip) = self.read_draws(addr, way);
+        self.check_read(addr, way, flip, code_flip)
+    }
+
+    /// One read attempt's fault draws, in a fixed order — transient,
+    /// persistent site, parity target — none of which depends on the
+    /// stored word. Returns the data flip mask and the check-code flip
+    /// mask.
+    fn read_draws(&mut self, addr: u32, way: usize) -> (u32, u8) {
+        let fault = if self.cfg.targets.data {
+            self.sampler.sample(WORD_BITS)
+        } else {
+            FaultEvent::none()
+        };
+        if fault.is_fault() {
+            self.stats.faults_injected += 1;
+        }
+        let flip = fault.mask() | self.site_flip(addr, way);
+        // Opt-in parity-bit injection: the stored signature is read
+        // from the same over-clocked SRAM as the data, so it can be
+        // corrupted *transiently* on this attempt — raising a false
+        // strike on clean data, or cancelling a genuine data fault
+        // (a missed detection). Only meaningful when detection
+        // hardware actually compares the signature.
+        let mut code_flip = 0u8;
+        if self.cfg.targets.parity && self.cfg.detection.is_enabled() {
+            let sig_bits = match self.cfg.detection {
+                DetectionScheme::Secded => SECDED_CODE_BITS,
+                _ => PARITY_SIG_BITS,
+            };
+            let pfault = self.sampler.sample_aux(sig_bits);
+            if pfault.is_fault() {
+                self.stats.parity_faults_injected += 1;
+                code_flip = pfault.mask() as u8;
+            }
+        }
+        (flip, code_flip)
+    }
+
+    /// The persistent-site draw of one read: opt-in sticky fault sites,
+    /// where a stuck bit in this physical slot corrupts every read that
+    /// senses it. Gated on the injection switch so golden runs stay
+    /// clean, and drawing from the process's own RNG stream so the
+    /// transient realization is untouched. Returns the flip mask.
+    #[inline]
+    fn site_flip(&mut self, addr: u32, way: usize) -> u32 {
+        if !(self.persistent.is_some() && self.sampler.is_enabled() && self.cfg.targets.data) {
+            return 0;
+        }
+        let slot = self.persistent_slot(addr, way);
+        let Some(p) = self.persistent.as_mut() else {
+            return 0;
+        };
+        let pmask = p.touch(slot, WORD_BITS);
+        if pmask != 0 {
+            self.stats.faults_injected += 1;
+        }
+        pmask
+    }
+
+    /// Resolves a checked read from its first attempt's draws: the
+    /// data flip `flip` and the code flip `code_flip`. Strike retries
+    /// draw afresh through [`MemSystem::read_draws`].
+    ///
+    /// When nothing fired and the line is not suspect, the outcome is
+    /// known by construction (a clean read of the stored word: a
+    /// non-suspect line's codes are a pure function of its data), so
+    /// this *clean-read lane* returns the stored word without
+    /// materializing or decoding any code. Anything that fired, or a
+    /// suspect line, runs the full check.
+    fn check_read(
+        &mut self,
+        addr: u32,
+        way: usize,
+        mut flip: u32,
+        mut code_flip: u8,
+    ) -> Result<u32, MemError> {
         let max_attempts = self.cfg.strikes.max_attempts();
+        let set = self.cfg.l1.set_of(addr);
         let mut attempt = 1u8;
         loop {
-            let (stored, mut stored_parity) = self.l1.read_word(addr, way);
-            let fault = if self.cfg.targets.data {
-                self.sampler.sample(WORD_BITS)
-            } else {
-                FaultEvent::none()
-            };
-            if fault.is_fault() {
-                self.stats.faults_injected += 1;
-            }
-            // Opt-in sticky fault sites: a stuck bit in this physical
-            // slot corrupts every read that senses it. Gated on the
-            // injection switch so golden runs stay clean, and drawing
-            // from the process's own RNG stream so the transient
-            // realization above is untouched.
-            let mut flip = fault.mask();
-            if self.persistent.is_some() && self.sampler.is_enabled() && self.cfg.targets.data {
-                let slot = self.persistent_slot(addr, way);
-                if let Some(p) = self.persistent.as_mut() {
-                    let pmask = p.touch(slot, WORD_BITS);
-                    if pmask != 0 {
-                        self.stats.faults_injected += 1;
-                        flip |= pmask;
-                    }
-                }
-            }
             let faulted = flip != 0;
-            // Opt-in parity-bit injection: the stored signature is read
-            // from the same over-clocked SRAM as the data, so it can be
-            // corrupted *transiently* on this attempt — raising a false
-            // strike on clean data, or cancelling a genuine data fault
-            // (a missed detection). Only meaningful when detection
-            // hardware actually compares the signature.
-            if self.cfg.targets.parity && self.cfg.detection.is_enabled() {
-                let sig_bits = match self.cfg.detection {
-                    DetectionScheme::Secded => SECDED_CODE_BITS,
-                    _ => PARITY_SIG_BITS,
-                };
-                let pfault = self.sampler.sample_aux(sig_bits);
-                if pfault.is_fault() {
-                    self.stats.parity_faults_injected += 1;
-                    stored_parity ^= pfault.mask() as u8;
-                }
+            if !faulted && code_flip == 0 && !(self.need_clean && self.l1.is_suspect(set, way)) {
+                return Ok(self.l1.fast_read_commit(set, way, addr));
             }
+            let (stored, stored_parity) = self.l1.read_word(addr, way);
+            let stored_parity = stored_parity ^ code_flip;
             let value = stored ^ flip;
             match self.cfg.detection {
                 DetectionScheme::None => {
@@ -631,16 +692,6 @@ impl MemSystem {
                         return Ok(value);
                     }
                     self.stats.faults_detected += 1;
-                    if attempt < max_attempts {
-                        attempt += 1;
-                        self.stats.strike_retries += 1;
-                        self.charge_l1_read();
-                        continue;
-                    }
-                    // Strikes exhausted: assume a write fault, invalidate
-                    // the block (its dirty data is untrusted and dropped)
-                    // and fetch the word from L2/backing.
-                    return self.strike_fallback(addr, way);
                 }
                 DetectionScheme::Secded => match secded_decode(value, stored_parity) {
                     SecdedOutcome::Clean => {
@@ -663,16 +714,19 @@ impl MemSystem {
                         // Uncorrectable: fall back to the strike path,
                         // exactly like a parity detection.
                         self.stats.faults_detected += 1;
-                        if attempt < max_attempts {
-                            attempt += 1;
-                            self.stats.strike_retries += 1;
-                            self.charge_l1_read();
-                            continue;
-                        }
-                        return self.strike_fallback(addr, way);
                     }
                 },
             }
+            if attempt >= max_attempts {
+                // Strikes exhausted: assume a write fault, invalidate
+                // the block (its dirty data is untrusted and dropped)
+                // and fetch the word from L2/backing.
+                return self.strike_fallback(addr, way);
+            }
+            attempt += 1;
+            self.stats.strike_retries += 1;
+            self.charge_l1_read();
+            (flip, code_flip) = self.read_draws(addr, way);
         }
     }
 
@@ -931,8 +985,8 @@ impl MemSystem {
         value: u32,
     ) -> Result<(), MemError> {
         // Fault-free fast path: the store-buffer RMW merges with the raw
-        // stored word, which is what the slow path's `read_word` returns
-        // too (codes play no part in the merge).
+        // stored word, exactly as the slow path below does (codes play no
+        // part in the merge).
         if self.fast_path && self.fast_ok {
             if let Some((set, way)) = self.l1.fast_locate(word_addr) {
                 if !self.cfg.targets.data || self.sampler.fast_forward(WORD_BITS, 1) == 1 {
@@ -960,8 +1014,11 @@ impl MemSystem {
         };
         self.charge_l1_write();
         // Merge with the currently stored word (store-buffer RMW; no
-        // extra architectural read access is charged).
-        let (current, _) = self.l1.read_word(word_addr, way);
+        // extra architectural read access is charged). The merge reads
+        // the raw word only, so no check code is materialized; a
+        // corrupted store materializes them in `write_word`.
+        let set = self.cfg.l1.set_of(word_addr);
+        let current = self.l1.fast_read_commit(set, way, word_addr);
         let intended = (current & !(mask << shift)) | ((value & mask) << shift);
         self.store_word(word_addr, way, intended)
     }
@@ -1046,10 +1103,9 @@ impl MemSystem {
         addr_mask: u32,
         out: &mut Vec<u32>,
     ) -> Result<(), MemError> {
-        // Grouping only pays when a gap can actually be consumed: in
-        // exact per-access sampling every gap query returns 0, so the
-        // scan would be pure overhead.
-        let grouping = self.grouping_pays();
+        // Runs mix reads into their groups, so only the fast lane
+        // batches them.
+        let grouping = self.block_lane() == BlockLane::Fast;
         let mut i = 0;
         while i < run.len() {
             if grouping {
@@ -1064,15 +1120,34 @@ impl MemSystem {
         Ok(())
     }
 
-    /// Whether batched entry points should bother scanning for
-    /// fast-path groups (see [`MemSystem::access_run_masked`]).
+    /// Which lane the batched entry points commit through. Grouping
+    /// only pays when a gap can actually be consumed: in exact
+    /// per-access sampling every gap query returns 0, so the scan would
+    /// be pure overhead.
     #[inline]
-    fn grouping_pays(&self) -> bool {
-        self.fast_path
-            && self.fast_ok
-            && !(self.cfg.targets.data
-                && self.sampler.is_enabled()
-                && self.sampler.mode() == SamplingMode::PerAccess)
+    fn block_lane(&self) -> BlockLane {
+        let exact = self.cfg.targets.data
+            && self.sampler.is_enabled()
+            && self.sampler.mode() == SamplingMode::PerAccess;
+        if !self.fast_path || !self.bulk_ok || exact {
+            BlockLane::Single
+        } else if self.fast_ok {
+            BlockLane::Fast
+        } else {
+            BlockLane::Checked
+        }
+    }
+
+    /// Counts `n` accesses a block lane committed in bulk on the side
+    /// of the fast/slow split the single-access loop would have counted
+    /// them on.
+    #[inline]
+    fn count_bulk(&mut self, n: u64) {
+        if self.fast_ok {
+            self.stats.fast_forward_accesses += n;
+        } else {
+            self.stats.slow_path_accesses += n;
+        }
     }
 
     /// Issues one run access through the individual entry points.
@@ -1245,14 +1320,18 @@ impl MemSystem {
         len: u32,
         out: &mut Vec<u8>,
     ) -> Result<(), MemError> {
-        let grouping = self.grouping_pays();
+        let lane = self.block_lane();
         let mut i = 0u32;
         while i < len {
-            if grouping {
-                i += self.fast_read_block(addr + i, len - i, out);
-                if i == len {
-                    break;
-                }
+            i += match lane {
+                BlockLane::Fast => self.fast_read_block(addr + i, len - i, out),
+                BlockLane::Checked => self.checked_read_sweep(addr + i, len - i, 1, |w, a| {
+                    out.push((w >> ((a & 3) * 8)) as u8);
+                })?,
+                BlockLane::Single => 0,
+            };
+            if i == len {
+                break;
             }
             out.push(self.read_u8(addr + i)?);
             i += 1;
@@ -1272,7 +1351,9 @@ impl MemSystem {
     /// Returns [`MemError::OutOfRange`] when the range escapes the
     /// backing store; earlier bytes have already committed.
     pub fn write_block_u8(&mut self, addr: u32, bytes: &[u8]) -> Result<(), MemError> {
-        let grouping = self.grouping_pays();
+        // Writes make no site draw, so the checked lane commits them
+        // like the fast one.
+        let grouping = self.block_lane() != BlockLane::Single;
         let mut i = 0u32;
         while (i as usize) < bytes.len() {
             if grouping {
@@ -1375,6 +1456,73 @@ impl MemSystem {
         granted
     }
 
+    /// The checked lane of a read sweep: the `n` accesses of `stride`
+    /// bytes starting at `addr`, on a system whose fast path persistent
+    /// sites alone keep closed. Commits the longest prefix on resident,
+    /// non-suspect lines, passing each access's stored word and address
+    /// to `emit`, and returns how many accesses committed (possibly 0).
+    ///
+    /// Each access is exactly the single-access slow path's hit: its
+    /// counters, its stall and energy, then its draws. The transient
+    /// process is consumed under one skip-ahead grant for the whole
+    /// prefix, as the fast path does (the site process draws from its
+    /// own stream, so the order between the two does not matter). Each
+    /// read then makes its own site draw. When none fires the read is a
+    /// clean read of the stored word, the clean-read lane of
+    /// [`MemSystem::check_read`]. When one fires, the unused rest of
+    /// the grant goes back to the sampler and the read runs the full
+    /// check, which may retry, refetch or retire the way, so the sweep
+    /// ends there and the caller re-scans.
+    ///
+    /// # Errors
+    ///
+    /// Returns the firing read's [`MemError`]; earlier accesses have
+    /// committed.
+    fn checked_read_sweep(
+        &mut self,
+        addr: u32,
+        n: u32,
+        stride: u32,
+        mut emit: impl FnMut(u32, u32),
+    ) -> Result<u32, MemError> {
+        let mut segs = std::mem::take(&mut self.run_segs);
+        let k = self.scan_stride(&mut segs, addr, n, stride, self.need_clean);
+        let granted = if self.cfg.targets.data {
+            self.sampler.fast_forward(WORD_BITS, u64::from(k)) as u32
+        } else {
+            k
+        };
+        let mut a = addr;
+        let mut i = 0u32;
+        let mut fired = None;
+        'sweep: for seg in &segs {
+            let way = seg.way as usize;
+            for _ in 0..seg.len.min(granted - i) {
+                let word_addr = a & !3;
+                self.stats.slow_path_accesses += 1;
+                self.stats.reads += 1;
+                self.stats.l1_hits += 1;
+                self.charge_l1_read();
+                let flip = self.site_flip(word_addr, way);
+                if flip != 0 {
+                    fired = Some((word_addr, way, flip));
+                    break 'sweep;
+                }
+                emit(self.l1.fast_read_commit(seg.set, way, word_addr), a);
+                i += 1;
+                a += stride;
+            }
+        }
+        self.run_segs = segs;
+        let Some((word_addr, way, flip)) = fired else {
+            return Ok(granted);
+        };
+        // Access `i` used its slot of the grant; the rest goes back.
+        self.sampler.refund(WORD_BITS, u64::from(granted - i - 1));
+        emit(self.check_read(word_addr, way, flip, 0)?, a);
+        Ok(i + 1)
+    }
+
     /// Write-side twin of [`MemSystem::fast_read_block`]: commits the
     /// longest resident prefix of `bytes` as fast-path byte stores
     /// (writes never consult the suspect flag, matching the
@@ -1418,7 +1566,7 @@ impl MemSystem {
         self.run_segs = segs;
         self.stats.writes += u64::from(granted);
         self.stats.l1_hits += u64::from(granted);
-        self.stats.fast_forward_accesses += u64::from(granted);
+        self.count_bulk(u64::from(granted));
         granted
     }
 
@@ -1440,14 +1588,18 @@ impl MemSystem {
         out: &mut Vec<u32>,
     ) -> Result<(), MemError> {
         Self::check_alignment(addr, 4)?;
-        let grouping = self.grouping_pays();
+        let lane = self.block_lane();
         let mut i = 0u32;
         while i < n {
-            if grouping {
-                i += self.fast_read_block_u32(addr + 4 * i, n - i, out);
-                if i == n {
-                    break;
+            i += match lane {
+                BlockLane::Fast => self.fast_read_block_u32(addr + 4 * i, n - i, out),
+                BlockLane::Checked => {
+                    self.checked_read_sweep(addr + 4 * i, n - i, 4, |w, _| out.push(w))?
                 }
+                BlockLane::Single => 0,
+            };
+            if i == n {
+                break;
             }
             out.push(self.read_u32(addr + 4 * i)?);
             i += 1;
@@ -1470,14 +1622,18 @@ impl MemSystem {
         out: &mut Vec<u32>,
     ) -> Result<(), MemError> {
         Self::check_alignment(addr, 2)?;
-        let grouping = self.grouping_pays();
+        let lane = self.block_lane();
         let mut i = 0u32;
         while i < n {
-            if grouping {
-                i += self.fast_read_block_u16(addr + 2 * i, n - i, out);
-                if i == n {
-                    break;
-                }
+            i += match lane {
+                BlockLane::Fast => self.fast_read_block_u16(addr + 2 * i, n - i, out),
+                BlockLane::Checked => self.checked_read_sweep(addr + 2 * i, n - i, 2, |w, a| {
+                    out.push(u32::from((w >> ((a & 3) * 8)) as u16));
+                })?,
+                BlockLane::Single => 0,
+            };
+            if i == n {
+                break;
             }
             out.push(u32::from(self.read_u16(addr + 2 * i)?));
             i += 1;
@@ -1494,7 +1650,8 @@ impl MemSystem {
     /// As [`MemSystem::read_block_u32`].
     pub fn write_block_u32(&mut self, addr: u32, words: &[u32]) -> Result<(), MemError> {
         Self::check_alignment(addr, 4)?;
-        let grouping = self.grouping_pays();
+        // Writes make no site draw (see `write_block_u8`).
+        let grouping = self.block_lane() != BlockLane::Single;
         let mut i = 0u32;
         while (i as usize) < words.len() {
             if grouping {
@@ -1639,7 +1796,7 @@ impl MemSystem {
         self.run_segs = segs;
         self.stats.writes += u64::from(granted);
         self.stats.l1_hits += u64::from(granted);
-        self.stats.fast_forward_accesses += u64::from(granted);
+        self.count_bulk(u64::from(granted));
         granted
     }
 
@@ -1895,6 +2052,87 @@ mod tests {
         assert_eq!(blocked.cycles(), singles.cycles());
         assert_eq!(blocked.energy(), singles.energy());
         assert!(blocked.stats().fast_forward_accesses > 0);
+    }
+
+    #[test]
+    fn checked_block_ops_match_the_single_access_loops() {
+        use crate::policy::WayDisablePolicy;
+        use crate::FaultTargets;
+        use fault_model::PersistentSiteConfig;
+        // Persistent sites close the fast path, so block sweeps take the
+        // checked lane. Sites dense enough to fire mid-sweep, transient
+        // faults that cut grants short, L2 faults on refills and
+        // way-disable escalation must all leave values, every counter
+        // (the fast/slow split included), cycles and energy exactly as
+        // the single-access loops leave them.
+        let sites = [
+            PersistentSiteConfig::hard(2e-3),
+            PersistentSiteConfig::intermittent(2e-3, 0.5),
+        ];
+        for detection in [DetectionScheme::Parity, DetectionScheme::Secded] {
+            for site in sites {
+                let cfg = MemConfig::strongarm()
+                    .with_detection(detection)
+                    .with_strikes(StrikePolicy::two_strike())
+                    .with_fault_model(FaultProbabilityModel::new(0.001, 0.0))
+                    .with_targets(FaultTargets {
+                        l2: true,
+                        ..FaultTargets::data_only()
+                    })
+                    .with_persistent(site)
+                    .with_way_disable(WayDisablePolicy::new(3, 5_000));
+                let mut blocked = MemSystem::new(cfg.clone(), 29);
+                let mut singles = MemSystem::new(cfg, 29);
+                blocked.set_cycle_free(0.4);
+                singles.set_cycle_free(0.4);
+                let (mut got_blocked, mut got_singles) = (Vec::new(), Vec::new());
+                let (mut bytes_blocked, mut bytes_singles) = (Vec::new(), Vec::new());
+                for round in 0..300u32 {
+                    let addr = ((round * 977) % 8192) & !3;
+                    let n = 1 + (round * 37) % 120;
+                    let bytes: Vec<u8> = (0..n).map(|i| (round ^ i) as u8).collect();
+                    blocked.write_block_u8(addr + 1, &bytes).unwrap();
+                    for (i, &b) in bytes.iter().enumerate() {
+                        singles.write_u8(addr + 1 + i as u32, b).unwrap();
+                    }
+                    blocked
+                        .read_block_u8(addr + 1, n, &mut bytes_blocked)
+                        .unwrap();
+                    for i in 0..n {
+                        bytes_singles.push(singles.read_u8(addr + 1 + i).unwrap());
+                    }
+                    let words: Vec<u32> = (0..n).map(|i| round * 1000 + i).collect();
+                    blocked.write_block_u32(addr, &words).unwrap();
+                    for (i, &w) in words.iter().enumerate() {
+                        singles.write_u32(addr + 4 * i as u32, w).unwrap();
+                    }
+                    blocked.read_block_u32(addr, n, &mut got_blocked).unwrap();
+                    for i in 0..n {
+                        got_singles.push(singles.read_u32(addr + 4 * i).unwrap());
+                    }
+                    blocked
+                        .read_block_u16(addr + 2, n, &mut got_blocked)
+                        .unwrap();
+                    for i in 0..n {
+                        got_singles.push(u32::from(singles.read_u16(addr + 2 + 2 * i).unwrap()));
+                    }
+                }
+                let what = format!("{detection:?}/{site}");
+                assert_eq!(bytes_blocked, bytes_singles, "{what}: bytes");
+                assert_eq!(got_blocked, got_singles, "{what}: words");
+                assert_eq!(blocked.stats(), singles.stats(), "{what}: stats");
+                assert_eq!(blocked.cycles(), singles.cycles(), "{what}: cycles");
+                assert_eq!(blocked.energy(), singles.energy(), "{what}: energy");
+                let s = blocked.stats();
+                assert_eq!(s.fast_forward_accesses, 0, "{what}: split moved");
+                let sites_fired = blocked.persistent.as_ref().map_or(0, |p| p.firings());
+                assert!(sites_fired > 50, "{what}: only {sites_fired} site firings");
+                assert!(s.l2_faults_injected > 0, "{what}: no L2 fault");
+                if detection == DetectionScheme::Parity {
+                    assert!(s.ways_disabled > 0, "{what}: no way disabled");
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,9 +73,11 @@ pub struct MemStats {
     /// work. Timing, energy and results are bitwise identical to the
     /// slow path; the split is purely diagnostic.
     pub fast_forward_accesses: u64,
-    /// Accesses that took the full checking path (misses, fault
-    /// arrivals, suspect lines, opt-in aux targets, or the exact
-    /// per-access sampler).
+    /// Accesses outside the fault-free fast path (misses, fault
+    /// arrivals, suspect lines, opt-in aux targets, persistent sites, or
+    /// the exact per-access sampler). Says nothing about an access's
+    /// cost: a read where nothing fires skips all check-code work, and
+    /// block sweeps under persistent sites share one skip-ahead grant.
     pub slow_path_accesses: u64,
     /// Ways mapped out by the opt-in way-disabling escalation
     /// ([`WayDisablePolicy`](crate::WayDisablePolicy)) or by an explicit

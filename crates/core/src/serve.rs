@@ -619,7 +619,14 @@ fn flow_hash(pkt: &Packet) -> u64 {
 #[must_use]
 pub fn flow_shard(pkt: &Packet, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
-    usize::try_from(flow_hash(pkt) % shards as u64).expect("shard index fits usize")
+    shard_of(flow_hash(pkt), shards)
+}
+
+/// The natural shard of flow hash `flow` among `shards` (non-zero).
+/// The remainder is below `shards`, itself a `usize`, so the narrowing
+/// is lossless on every target.
+fn shard_of(flow: u64, shards: usize) -> usize {
+    (flow % shards as u64) as usize
 }
 
 /// Tuning for skew rebalancing (see [`FlowDirector`]).
@@ -729,7 +736,7 @@ impl FlowDirector {
     /// hot for a full window is pinned to the least-loaded shard.
     pub fn route(&mut self, flow: u64, depths: &[usize]) -> (usize, RouteKind) {
         assert_eq!(depths.len(), self.shards, "one depth per shard");
-        let natural = usize::try_from(flow % self.shards as u64).expect("shard index fits usize");
+        let natural = shard_of(flow, self.shards);
         if let Some(&pin) = self.pinned.get(&flow) {
             return (pin, RouteKind::Pinned);
         }
@@ -1776,7 +1783,7 @@ pub fn run_serve(
                 }
                 shard
             } else {
-                usize::try_from(flow % cfg.shards as u64).expect("shard index fits usize")
+                shard_of(flow, cfg.shards)
             };
             if overload_on {
                 flow_stats.entry(flow).or_insert((0, 0)).0 += 1;

@@ -101,8 +101,8 @@ fn doubling_the_packets_adds_no_allocations() {
         );
     }
 
-    // Serve: the pump's traffic source allocates each packet's payload;
-    // everything else must stay flat.
+    // Serve: the pump's traffic source allocates each packet's payload
+    // and nothing else; everything else must stay flat.
     for kind in AppKind::extended() {
         let cfg = |budget: usize| {
             ServeConfig::new(kind, fault_free())
@@ -130,6 +130,11 @@ fn doubling_the_packets_adds_no_allocations() {
         black_box(serve(N));
         let serve_added = serve(2 * N) as i64 - serve(N) as i64;
         let source_added = source(2 * N) as i64 - source(N) as i64;
+        // The payload is the source's one allocation per packet.
+        assert!(
+            source_added <= N as i64,
+            "{kind}: {N} more packets made {source_added} more traffic-source allocations"
+        );
         assert!(
             serve_added - source_added <= SERVE_SLACK as i64,
             "{kind}: doubling the budget added {serve_added} allocations to serve, \

@@ -322,6 +322,27 @@ impl FaultSampler {
         granted
     }
 
+    /// Hands `n` accesses of a [`FaultSampler::fast_forward`] grant back
+    /// to the pending gap, for a caller that stopped short of them. A
+    /// grant of `g` followed by a refund of `n ≤ g` leaves the sampler
+    /// exactly as `g - n` calls to [`FaultSampler::sample`] would have.
+    ///
+    /// A no-op while the sampler is disabled or in
+    /// [`SamplingMode::PerAccess`], whose grants consumed nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not 8, 16 or 32.
+    pub fn refund(&mut self, width: u32, n: u64) {
+        let idx = Self::width_index(width);
+        if !self.enabled || self.mode != SamplingMode::SkipAhead {
+            return;
+        }
+        if let Some(g) = self.skip[idx].as_mut() {
+            *g += n;
+        }
+    }
+
     /// Turns a uniform already known to land in `[0, probs.any())` into
     /// a concrete fault event, drawing bit positions uniformly within
     /// `width`. Shared by the word path and the auxiliary-array path so
@@ -597,6 +618,35 @@ mod tests {
             batched.extend(std::iter::repeat_n(0u32, granted as usize));
             if granted < want {
                 // Gap exhausted: the next access is the fault arrival.
+                batched.push(s.sample(32).mask());
+            }
+        }
+        assert_eq!(batched, singles);
+    }
+
+    #[test]
+    fn refunded_grants_consume_the_stream_like_singles() {
+        // Taking a large grant and handing back all but the accesses
+        // actually used must realize the same fault sequence as sampling
+        // every access individually.
+        let model = FaultProbabilityModel::new(0.02, 0.0);
+        let singles = {
+            let mut s = FaultSampler::with_mode(model, 78, SamplingMode::SkipAhead);
+            (0..200_000)
+                .map(|_| s.sample(32).mask())
+                .collect::<Vec<_>>()
+        };
+        let mut batched = Vec::with_capacity(singles.len());
+        let mut s = FaultSampler::with_mode(model, 78, SamplingMode::SkipAhead);
+        let mut round = 0u64;
+        while batched.len() < singles.len() {
+            round += 1;
+            let want = (singles.len() - batched.len()).min(64) as u64;
+            let granted = s.fast_forward(32, want);
+            let used = granted.min(round % 7);
+            s.refund(32, granted - used);
+            batched.extend(std::iter::repeat_n(0u32, used as usize));
+            if used == granted && granted < want {
                 batched.push(s.sample(32).mask());
             }
         }

@@ -407,10 +407,14 @@ impl TrafficSource {
         let len = self.rng.gen_range(self.payload_min..=self.payload_max);
         let mut payload = vec![0u8; len];
         self.rng.fill(payload.as_mut_slice());
-        // Embed an HTTP-ish request line for the url workload.
-        let req = format!("GET {} HTTP/1.0\r\n", self.urls[f.url]);
-        let n = req.len().min(len);
-        payload[..n].copy_from_slice(&req.as_bytes()[..n]);
+        // Embed an HTTP-ish request line for the url workload, written
+        // in place and truncated at the payload's end.
+        let mut at = 0;
+        for part in [b"GET ", self.urls[f.url].as_bytes(), b" HTTP/1.0\r\n"] {
+            let n = part.len().min(len - at);
+            payload[at..at + n].copy_from_slice(&part[..n]);
+            at += n;
+        }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         Packet {
