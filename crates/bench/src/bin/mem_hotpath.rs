@@ -12,20 +12,31 @@
 //! every access to the per-access checking path, as durable campaigns
 //! with way-disabling run it.
 //!
-//! Prints one line per cell. Scale with `CLUMSY_HOTPATH_ACCESSES`
-//! (default 4 million per cell). Only a default-scale run writes the
-//! recorded `results/BENCH_hotpath.json`; any other scale writes
+//! Each round issues a packet-like access pattern through the entry
+//! points the apps call: a 64-byte payload sweep (`read_block_u8`), a
+//! 32-word table sweep (`read_block_u32`) and 16 stride-8 word stores
+//! (`write_u32`).
+//!
+//! Each cell runs its accesses [`REPETITIONS`] times on a fresh memory
+//! system and reports the median rate with the min and max, since a
+//! cell lasts only tens of milliseconds. Prints one line per cell.
+//! Scale with `CLUMSY_HOTPATH_ACCESSES` (default 4 million per cell
+//! and repetition). Only a default-scale run writes the recorded
+//! `results/BENCH_hotpath.json`; any other scale writes
 //! `target/reduced/BENCH_hotpath.json`, so a quick run never overwrites
 //! the recording.
 
-use cache_sim::{Access, DetectionScheme, MemConfig, MemSystem};
+use cache_sim::{DetectionScheme, MemConfig, MemSystem};
 use clumsy_bench::{or_exit, reduced_dir, results_dir, write_file_in, EXIT_USAGE};
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig, SamplingMode};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Accesses per cell of a recording run.
+/// Accesses per cell and repetition of a recording run.
 const DEFAULT_ACCESSES: u64 = 4_000_000;
+
+/// Timed repetitions per cell.
+const REPETITIONS: usize = 5;
 
 /// Site activation probability of the persistent cells.
 const P_SITE: f64 = 1e-6;
@@ -67,41 +78,54 @@ fn detection_label(d: DetectionScheme) -> &'static str {
     }
 }
 
-/// One pre-built packet-like access run: a byte sweep (payload), a word
-/// sweep (tables) and a store sweep (accumulators).
-fn build_run(run: &mut Vec<Access>, round: u32) {
-    run.clear();
+/// One packet-like round: a byte sweep (payload), a word sweep
+/// (tables, split where it wraps the footprint) and a store sweep
+/// (accumulators). Returns the number of accesses issued.
+fn round(mem: &mut MemSystem, round: u32, bytes: &mut Vec<u8>, words: &mut Vec<u32>) -> u64 {
     let base = (round * 64) % FOOTPRINT;
-    for i in 0..64u32 {
-        run.push(Access::ReadU8((base + i) % FOOTPRINT));
-    }
-    for i in 0..32u32 {
-        run.push(Access::ReadU32(((base + 4 * i) % FOOTPRINT) & !3));
-    }
+    bytes.clear();
+    words.clear();
+    let in_range = "in-range addresses";
+    mem.read_block_u8(base, 64, bytes).expect(in_range);
+    let first = ((FOOTPRINT - base) / 4).min(32);
+    mem.read_block_u32(base, first, words).expect(in_range);
+    mem.read_block_u32(0, 32 - first, words).expect(in_range);
     for i in 0..16u32 {
-        run.push(Access::WriteU32(
-            ((base + 8 * i) % FOOTPRINT) & !3,
-            round ^ i,
-        ));
+        mem.write_u32((base + 8 * i) % FOOTPRINT, round ^ i)
+            .expect(in_range);
     }
+    64 + 32 + 16
+}
+
+/// One timed repetition of a cell: elapsed seconds, accesses, and the
+/// fast/slow split.
+struct Rep {
+    elapsed_s: f64,
+    accesses: u64,
+    fast_forward: u64,
+    slow_path: u64,
 }
 
 struct Cell {
     detection: &'static str,
     sampler: &'static str,
-    accesses: u64,
-    elapsed_s: f64,
-    fast_forward: u64,
-    slow_path: u64,
+    /// Repetitions sorted by rate, slowest first.
+    reps: Vec<Rep>,
 }
 
-impl Cell {
+impl Rep {
     fn per_s(&self) -> f64 {
         self.accesses as f64 / self.elapsed_s
     }
 }
 
-fn measure(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Cell {
+impl Cell {
+    fn median(&self) -> &Rep {
+        &self.reps[self.reps.len() / 2]
+    }
+}
+
+fn measure_once(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Rep {
     // The calibrated model at the paper's quarter clock — the same
     // fault process every engine run uses, so these cells measure the
     // rates the packet numbers are actually bounded by.
@@ -120,33 +144,45 @@ fn measure(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Cell
     if matches!(sampler, SamplerCell::FaultFree) {
         mem.set_inject(false);
     }
-    let mut run = Vec::new();
-    let mut out = Vec::new();
+    let (mut bytes, mut words) = (Vec::new(), Vec::new());
     // Warm the working set into the L1 so the measurement is the hot
     // path, not compulsory misses.
-    build_run(&mut run, 0);
-    out.clear();
-    mem.access_run(&run, &mut out).expect("in-range addresses");
+    round(&mut mem, 0, &mut bytes, &mut words);
 
     let mut done = 0u64;
-    let mut round = 1u32;
+    let mut r = 1u32;
     let t0 = Instant::now();
     while done < total {
-        build_run(&mut run, round);
-        out.clear();
-        mem.access_run(&run, &mut out).expect("in-range addresses");
-        done += run.len() as u64;
-        round = round.wrapping_add(1);
+        done += round(&mut mem, r, &mut bytes, &mut words);
+        r = r.wrapping_add(1);
     }
     let elapsed_s = t0.elapsed().as_secs_f64();
+    std::hint::black_box((&bytes, &words));
     let st = mem.stats();
+    Rep {
+        elapsed_s,
+        accesses: done,
+        fast_forward: st.fast_forward_accesses,
+        slow_path: st.slow_path_accesses,
+    }
+}
+
+fn measure(detection: DetectionScheme, sampler: SamplerCell, total: u64) -> Cell {
+    let mut reps: Vec<Rep> = (0..REPETITIONS)
+        .map(|_| measure_once(detection, sampler, total))
+        .collect();
+    // Every repetition runs the same seeded workload, so only the
+    // timing may differ between them.
+    let split = |r: &Rep| (r.accesses, r.fast_forward, r.slow_path);
+    assert!(
+        reps.iter().all(|r| split(r) == split(&reps[0])),
+        "repetitions of one cell diverged"
+    );
+    reps.sort_by(|a, b| a.per_s().total_cmp(&b.per_s()));
     Cell {
         detection: detection_label(detection),
         sampler: sampler.label(),
-        accesses: done,
-        elapsed_s,
-        fast_forward: st.fast_forward_accesses,
-        slow_path: st.slow_path_accesses,
+        reps,
     }
 }
 
@@ -161,7 +197,10 @@ fn main() {
             }
         },
     };
-    println!("mem hotpath: {total} accesses per cell, {FOOTPRINT} B working set");
+    println!(
+        "mem hotpath: {total} accesses per cell, median of {REPETITIONS} repetitions, \
+         {FOOTPRINT} B working set"
+    );
 
     let mut grid = Vec::new();
     for detection in [
@@ -183,31 +222,39 @@ fn main() {
     let mut cells = Vec::new();
     for (detection, sampler) in grid {
         let cell = measure(detection, sampler, total);
+        let m = cell.median();
         println!(
-            "{:>11} / {:<21} {:>7.1} M acc/s  (fast {:.1}%, slow {:.1}%)",
+            "{:>11} / {:<21} {:>7.1} M acc/s  [{:.1}, {:.1}]  (fast {:.1}%, slow {:.1}%)",
             cell.detection,
             cell.sampler,
-            cell.per_s() / 1e6,
-            100.0 * cell.fast_forward as f64 / cell.accesses as f64,
-            100.0 * cell.slow_path as f64 / cell.accesses as f64,
+            m.per_s() / 1e6,
+            cell.reps[0].per_s() / 1e6,
+            cell.reps[REPETITIONS - 1].per_s() / 1e6,
+            100.0 * m.fast_forward as f64 / m.accesses as f64,
+            100.0 * m.slow_path as f64 / m.accesses as f64,
         );
         cells.push(cell);
     }
 
     let mut json = String::from("{\n  \"bench\": \"hotpath\",\n");
     let _ = writeln!(json, "  \"accesses_per_cell\": {total},");
+    let _ = writeln!(json, "  \"repetitions\": {REPETITIONS},");
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let m = c.median();
         let _ = write!(
             json,
             "    {{\"detection\": \"{}\", \"sampler\": \"{}\", \"accesses_per_s\": {:.1}, \
+             \"accesses_per_s_min\": {:.1}, \"accesses_per_s_max\": {:.1}, \
              \"elapsed_s\": {:.3}, \"fast_forward_accesses\": {}, \"slow_path_accesses\": {}}}",
             c.detection,
             c.sampler,
-            c.per_s(),
-            c.elapsed_s,
-            c.fast_forward,
-            c.slow_path,
+            m.per_s(),
+            c.reps[0].per_s(),
+            c.reps[REPETITIONS - 1].per_s(),
+            m.elapsed_s,
+            m.fast_forward,
+            m.slow_path,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

@@ -293,8 +293,8 @@ impl DataLine {
 }
 
 /// A located line held open for a batched fast-path commit (see
-/// [`DataCache::fast_group`]): raw word reads and writes with the
-/// fast-path semantics of [`DataCache::fast_read_commit`] /
+/// [`DataCache::fast_group`]): bulk reads and writes of raw stored data
+/// with the fast-path semantics of [`DataCache::fast_read_commit`] /
 /// [`DataCache::fast_write_commit`], minus the per-access LRU touch and
 /// line lookup the group already paid once.
 pub(crate) struct FastLine<'a> {
@@ -304,51 +304,6 @@ pub(crate) struct FastLine<'a> {
 }
 
 impl FastLine<'_> {
-    /// Reads the stored word containing `addr`.
-    #[inline]
-    pub(crate) fn read(&self, addr: u32) -> u32 {
-        let off = (addr & self.offset_mask) as usize & !3;
-        let b = &self.line.data[off..off + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    }
-
-    /// Writes the aligned word at `addr`, keeping any materialized code
-    /// in step and marking the line dirty.
-    #[inline]
-    pub(crate) fn write(&mut self, addr: u32, value: u32) {
-        let off = (addr & self.offset_mask) as usize & !3;
-        self.line.data[off..off + 4].copy_from_slice(&value.to_le_bytes());
-        if self.line.codes_valid {
-            self.line.parity[off / 4] = self.code.encode(value);
-        }
-        self.line.dirty = true;
-    }
-
-    /// Reads the byte at `addr` — the little-endian byte extraction of
-    /// [`FastLine::read`], without touching the other three bytes.
-    #[inline]
-    pub(crate) fn read_u8(&self, addr: u32) -> u8 {
-        self.line.data[(addr & self.offset_mask) as usize]
-    }
-
-    /// Writes the byte at `addr`. Equivalent to the word RMW a
-    /// single-byte store performs (merge into the stored word, re-encode
-    /// the containing word's code): the stored bytes end up identical,
-    /// and the word code is recomputed only when one is materialized.
-    #[inline]
-    pub(crate) fn write_u8(&mut self, addr: u32, value: u8) {
-        let off = (addr & self.offset_mask) as usize;
-        self.line.data[off] = value;
-        if self.line.codes_valid {
-            let woff = off & !3;
-            let b = &self.line.data[woff..woff + 4];
-            self.line.parity[woff / 4] = self
-                .code
-                .encode(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        }
-        self.line.dirty = true;
-    }
-
     /// Appends the `n` aligned words starting at `addr` to `out` — one
     /// bounds check for the whole stretch instead of one per word.
     #[inline]
@@ -384,8 +339,9 @@ impl FastLine<'_> {
 
     /// Writes `words` as sequential aligned stores starting at `addr`.
     /// The final line state is identical to word-by-word
-    /// [`FastLine::write`] calls: stored data is the concatenation, and
-    /// any materialized code ends up encoding the final (latest) word —
+    /// [`DataCache::fast_write_commit`] calls: stored data is the
+    /// concatenation, each store marks the line dirty, and any
+    /// materialized code ends up encoding the final (latest) word —
     /// which is all a code depends on.
     #[inline]
     pub(crate) fn write_words(&mut self, addr: u32, words: &[u32]) {
@@ -402,9 +358,10 @@ impl FastLine<'_> {
     }
 
     /// Writes `bytes` as sequential byte stores starting at `addr`.
-    /// Equivalent to byte-by-byte [`FastLine::write_u8`]: codes depend
-    /// only on the final data, so any materialized codes of the touched
-    /// words are recomputed once from the settled bytes.
+    /// Equivalent to byte-by-byte read-merge-write stores of their
+    /// containing words: codes depend only on the final data, so any
+    /// materialized codes of the touched words are recomputed once from
+    /// the settled bytes.
     #[inline]
     pub(crate) fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
         let off = (addr & self.offset_mask) as usize;

@@ -69,7 +69,7 @@ pub use config::MemConfig;
 pub use degradation::{relative_error, BaselineProfile, DegradationEstimate, DegradationModel};
 pub use error::MemError;
 pub use fault_model::SamplingMode;
-pub use hierarchy::{Access, MemSystem};
+pub use hierarchy::MemSystem;
 pub use policy::{
     DetectionScheme, FaultTargets, RecoveryGranularity, StrikePolicy, WayDisablePolicy,
 };

@@ -1,18 +1,21 @@
-//! Pinned digests of the per-access checking path.
+//! Pinned digests of the per-access checking path and the fast lanes.
 //!
 //! The fast-path on/off tests compare two paths of the same simulator,
 //! so an error shared by both cannot show there. These pins instead
 //! compare every configuration that runs access by access — persistent
 //! sites, the L2 and parity targets, the tag target and the exact
 //! sampler — against digests recorded before the checking path was
-//! last optimized. A fixed mixed workload at `Cr = 0.25` (so faults
-//! fire, strikes retry and invalidate, and stores corrupt lines) covers
-//! refills, dirty evictions, sub-word writes and the block APIs. The
-//! digest covers every read value, the `MemStats` debug text (the
-//! fast/slow split included), the cycle count and the energy bits.
+//! last optimized, and the skip-ahead configurations whose hits commit
+//! on the batched fast lanes against digests recorded before those
+//! lanes were merged into one sweep. A fixed mixed workload at
+//! `Cr = 0.25` (so faults fire, strikes retry and invalidate, and
+//! stores corrupt lines) covers refills, dirty evictions, sub-word
+//! writes and the block APIs. The digest covers every read value, the
+//! `MemStats` debug text (the fast/slow split included), the cycle
+//! count and the energy bits.
 
 use cache_sim::{
-    Access, DetectionScheme, FaultTargets, MemConfig, MemSystem, SamplingMode, StrikePolicy,
+    DetectionScheme, FaultTargets, MemConfig, MemSystem, SamplingMode, StrikePolicy,
     WayDisablePolicy,
 };
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig};
@@ -70,16 +73,13 @@ fn drive(m: &mut MemSystem) -> Vec<u32> {
                         m.write_block_u32(base, &words).unwrap();
                     }
                     _ => {
-                        let run = [
-                            Access::ReadU32(base),
-                            Access::WriteU16(base + 6, i as u16),
-                            Access::ReadU8(base + 7),
-                            Access::WriteU32(base + 8, !i),
-                            Access::ReadU16(base + 10),
-                            Access::WriteU8(base + 33, i as u8),
-                            Access::ReadU32(base + 32),
-                        ];
-                        m.access_run(&run, &mut out).unwrap();
+                        out.push(m.read_u32(base).unwrap());
+                        m.write_u16(base + 6, i as u16).unwrap();
+                        out.push(u32::from(m.read_u8(base + 7).unwrap()));
+                        m.write_u32(base + 8, !i).unwrap();
+                        out.push(u32::from(m.read_u16(base + 10).unwrap()));
+                        m.write_u8(base + 33, i as u8).unwrap();
+                        out.push(m.read_u32(base + 32).unwrap());
                     }
                 }
             }
@@ -182,6 +182,52 @@ fn pinned() -> Vec<(&'static str, MemConfig, u64)> {
             0xb91e_f620_1eac_2fe2,
         ),
     ]
+}
+
+/// The skip-ahead configurations with no aux target and no persistent
+/// sites, whose hits commit on the batched fast lanes, with the digest
+/// recorded for each before those lanes were merged into one sweep.
+fn fast_lane_pinned() -> Vec<(&'static str, MemConfig, u64)> {
+    vec![
+        (
+            "none/skip-ahead",
+            base(DetectionScheme::None),
+            0xc11e_ce50_b48b_516e,
+        ),
+        (
+            "parity/skip-ahead",
+            base(DetectionScheme::Parity),
+            0x49e6_5ab2_fd1e_d9d4,
+        ),
+        (
+            "byte-parity/skip-ahead",
+            base(DetectionScheme::ParityPerByte),
+            0xda73_375d_3c16_9e0b,
+        ),
+        (
+            "secded/skip-ahead",
+            base(DetectionScheme::Secded),
+            0x13af_72e8_1fd7_9fa3,
+        ),
+    ]
+}
+
+#[test]
+fn fast_lane_digests_match_the_recorded_pins() {
+    let mut wrong = Vec::new();
+    for (name, cfg, want) in fast_lane_pinned() {
+        let (got, stats) = digest(cfg);
+        assert!(stats.faults_injected > 0, "{name}: no fault fired");
+        assert!(stats.writebacks > 0, "{name}: no dirty eviction");
+        assert!(
+            stats.fast_forward_accesses > 0,
+            "{name}: no fast-lane access"
+        );
+        if got != want {
+            wrong.push(format!("{name}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
 }
 
 #[test]

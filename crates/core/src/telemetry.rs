@@ -1004,13 +1004,59 @@ enum LineMode {
     Serve,
 }
 
+/// A background thread that calls its tick once per interval until
+/// stopped, and once more at stop. Stopping (or dropping) wakes the
+/// thread at once and joins it, however early it comes: the wait
+/// checks the stop flag before it sleeps.
+#[derive(Debug)]
+struct Ticker {
+    state: Arc<(Mutex<bool>, Condvar)>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Ticker {
+    fn start(every: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
+        let state = Arc::new((Mutex::new(false), Condvar::new()));
+        let thread_state = Arc::clone(&state);
+        let handle = std::thread::spawn(move || {
+            let (stop, cv) = &*thread_state;
+            let mut stopped = stop.lock().unwrap_or_else(|e| e.into_inner());
+            while !*stopped {
+                let (guard, _) = cv
+                    .wait_timeout_while(stopped, every, |stopped| !*stopped)
+                    .unwrap_or_else(|e| e.into_inner());
+                stopped = guard;
+                if !*stopped {
+                    tick();
+                }
+            }
+            drop(stopped);
+            tick();
+        });
+        Ticker {
+            state,
+            handle: Some(handle),
+        }
+    }
+}
+
+impl Drop for Ticker {
+    fn drop(&mut self) {
+        let (stop, cv) = &*self.state;
+        *stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        cv.notify_all();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// Background thread printing a [`MetricsSnapshot::progress_line`] to
 /// stderr every interval. Started behind `--progress`; stopping (or
 /// dropping) joins the thread after one final line.
 #[derive(Debug)]
 pub struct ProgressReporter {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _ticker: Ticker,
 }
 
 impl ProgressReporter {
@@ -1029,60 +1075,22 @@ impl ProgressReporter {
     }
 
     fn start_mode(telemetry: Arc<Telemetry>, label: &str, every: Duration, mode: LineMode) -> Self {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
         let label = label.to_string();
-        let line = move || {
+        // The tick at stop is the final line, so short runs still
+        // report something.
+        let ticker = Ticker::start(every, move || {
             let snap = telemetry.snapshot();
-            match mode {
+            let line = match mode {
                 LineMode::Campaign => snap.progress_line(&label),
                 LineMode::Serve => snap.serve_progress_line(&label),
-            }
-        };
-        let handle = std::thread::spawn(move || {
-            let (stop, cv) = &*thread_state;
-            let mut stopped = stop.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let (guard, timeout) = cv
-                    .wait_timeout(stopped, every)
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = guard;
-                if *stopped {
-                    break;
-                }
-                if timeout.timed_out() {
-                    eprintln!("{}", line());
-                }
-            }
-            drop(stopped);
-            // One final line so short runs still report something.
-            eprintln!("{}", line());
+            };
+            eprintln!("{line}");
         });
-        ProgressReporter {
-            state,
-            handle: Some(handle),
-        }
+        ProgressReporter { _ticker: ticker }
     }
 
     /// Stops the reporter and joins its thread (also done on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (stop, cv) = &*self.state;
-        *stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ProgressReporter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+    pub fn stop(self) {}
 }
 
 /// Background thread rewriting the `--metrics` JSON file every
@@ -1092,79 +1100,39 @@ impl Drop for ProgressReporter {
 /// dropping) writes one last snapshot and joins the thread.
 #[derive(Debug)]
 pub struct MetricsFlusher {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _ticker: Ticker,
 }
 
 impl MetricsFlusher {
-    /// Spawns the flusher: an immediate write so the file exists from
-    /// the start, one atomic rewrite of `path` per `every` until
+    /// Writes the file once before returning, then spawns the flusher:
+    /// one atomic rewrite of `path` per `every` until
     /// stopped, plus a final write at stop — the last interval's
     /// window is never lost, however the run ends. Write errors are
     /// reported to stderr once and the thread keeps ticking — a full
     /// disk must not take the serving loop down with it.
     #[must_use]
     pub fn start(telemetry: Arc<Telemetry>, path: PathBuf, every: Duration) -> Self {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let mut warned = false;
-            let flush = |warned: &mut bool| {
-                if let Err(e) =
-                    crate::journal::atomic_write(&path, telemetry.metrics_json().as_bytes())
-                {
-                    if !*warned {
-                        eprintln!("warning: metrics flush to {} failed: {e}", path.display());
-                        *warned = true;
-                    }
-                }
-            };
-            // A watcher attaching right after launch (or a run killed
-            // inside the first interval) still finds a complete,
-            // schema-valid snapshot.
-            flush(&mut warned);
-            let (stop, cv) = &*thread_state;
-            let mut stopped = stop.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let (guard, timeout) = cv
-                    .wait_timeout(stopped, every)
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = guard;
-                if *stopped {
-                    break;
-                }
-                if timeout.timed_out() {
-                    flush(&mut warned);
+        let mut warned = false;
+        let mut flush = move || {
+            if let Err(e) = crate::journal::atomic_write(&path, telemetry.metrics_json().as_bytes())
+            {
+                if !warned {
+                    eprintln!("warning: metrics flush to {} failed: {e}", path.display());
+                    warned = true;
                 }
             }
-            drop(stopped);
-            flush(&mut warned);
-        });
+        };
+        // Written before the thread starts, so a watcher attaching right
+        // after launch (or a run killed inside the first interval)
+        // already finds a complete, schema-valid snapshot.
+        flush();
         MetricsFlusher {
-            state,
-            handle: Some(handle),
+            _ticker: Ticker::start(every, flush),
         }
     }
 
     /// Stops the flusher after one final write (also done on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (stop, cv) = &*self.state;
-        *stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsFlusher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+    pub fn stop(self) {}
 }
 
 /// Tolerant reader for the metrics JSON, used by tests and CI scripts.
@@ -1329,11 +1297,19 @@ mod tests {
 
     #[test]
     fn progress_reporter_stops_cleanly() {
+        // A stop that lands before the thread's first wait must not
+        // cost a whole interval.
+        let t0 = Instant::now();
         let t = Arc::new(Telemetry::new());
         let r = ProgressReporter::start(Arc::clone(&t), "unit", Duration::from_secs(60));
-        r.stop(); // must not hang waiting for the first tick
+        r.stop();
         let r = ProgressReporter::start_open_ended(t, "serve", Duration::from_secs(60));
         r.stop();
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "two start/stop pairs took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! a flat backing store, with no caches, fault sampler, timing or
 //! energy.
 
-use cache_sim::{Access, BackingStore, MemConfig, MemError, MemStats};
+use cache_sim::{BackingStore, MemConfig, MemError, MemStats};
 
 /// The memory behind a [`Machine::golden`](crate::Machine::golden):
 /// every access goes straight to a [`BackingStore`].
@@ -191,27 +191,6 @@ impl FlatMemory {
         }
         if k < n {
             return Err(self.refill_fault(addr + 4 * k));
-        }
-        Ok(())
-    }
-
-    /// Runs `run` with every address `AND`-ed with `addr_mask`; reads
-    /// append to `out` in access order.
-    pub(crate) fn access_run_masked(
-        &mut self,
-        run: &[Access],
-        addr_mask: u32,
-        out: &mut Vec<u32>,
-    ) -> Result<(), MemError> {
-        for &access in run {
-            match access {
-                Access::ReadU32(a) => out.push(self.read_u32(a & addr_mask)?),
-                Access::ReadU16(a) => out.push(u32::from(self.read_u16(a & addr_mask)?)),
-                Access::ReadU8(a) => out.push(u32::from(self.read_u8(a & addr_mask)?)),
-                Access::WriteU32(a, v) => self.write_u32(a & addr_mask, v)?,
-                Access::WriteU16(a, v) => self.write_u16(a & addr_mask, v)?,
-                Access::WriteU8(a, v) => self.write_u8(a & addr_mask, v)?,
-            }
         }
         Ok(())
     }

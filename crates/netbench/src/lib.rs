@@ -61,7 +61,6 @@ mod packet;
 mod radix;
 mod trace;
 
-pub use cache_sim::Access;
 pub use error::{AppError, FatalError};
 pub use heap::Heap;
 pub use machine::{Machine, PacketView, Plane, PlaneMask};

@@ -5,7 +5,7 @@ use crate::error::{AppError, FatalError};
 use crate::flat::FlatMemory;
 use crate::heap::Heap;
 use crate::packet::Packet;
-use cache_sim::{Access, MemConfig, MemStats, MemSystem};
+use cache_sim::{MemConfig, MemStats, MemSystem};
 use energy_model::EnergyBreakdown;
 use std::fmt;
 
@@ -375,27 +375,6 @@ impl Machine {
         self.charge(1)?;
         let addr = self.phys(addr);
         Ok(on_mem!(&mut self.mem, m => m.write_u8(addr, value))?)
-    }
-
-    /// Runs a whole batch of data accesses: one fuel check and one
-    /// instruction charge for the run (one instruction per access, as
-    /// the individual entry points charge), then the entire batch flows
-    /// through [`cache_sim::MemSystem::access_run`] without
-    /// re-crossing the machine layer per access. Read results are
-    /// appended to `out` in access order.
-    ///
-    /// Applications build per-packet runs from accesses whose addresses
-    /// do not depend on loaded values (payload sweeps, static table
-    /// schedules) and keep data-dependent accesses on the individual
-    /// entry points.
-    ///
-    /// # Errors
-    ///
-    /// Fuel exhaustion (before any access commits) or a memory fault.
-    pub fn run_accesses(&mut self, run: &[Access], out: &mut Vec<u32>) -> Result<(), AppError> {
-        self.charge(run.len() as u64)?;
-        let mask = self.addr_mask;
-        Ok(on_mem!(&mut self.mem, m => m.access_run_masked(run, mask, out))?)
     }
 
     /// Reads `len` bytes starting at `addr` into `out` (appended): one

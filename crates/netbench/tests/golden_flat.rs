@@ -2,7 +2,7 @@
 //! injection off: every application observes the same values, and every
 //! access entry point returns the same values and the same errors.
 
-use netbench::{Access, AppError, AppKind, Machine, Observation, Trace, TraceConfig};
+use netbench::{AppError, AppKind, Machine, Observation, Trace, TraceConfig};
 use proptest::prelude::*;
 
 /// Per-packet outcome plus the instruction count after it.
@@ -103,46 +103,27 @@ enum Op {
     ReadBlockU32(u32, u32),
     ReadBlockU16(u32, u32),
     WriteBlockU32(u32, Vec<u32>),
-    Run(Vec<Access>),
-}
-
-fn access() -> impl Strategy<Value = Access> {
-    (0u8..6, addr(), any::<u32>()).prop_map(|(kind, a, v)| match kind {
-        0 => Access::ReadU32(a),
-        1 => Access::ReadU16(a),
-        2 => Access::ReadU8(a),
-        3 => Access::WriteU32(a, v),
-        4 => Access::WriteU16(a, v as u16),
-        _ => Access::WriteU8(a, v as u8),
-    })
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (
-        (0u8..12, addr()),
-        any::<u32>(),
-        0u32..72,
-        prop::collection::vec(access(), 1..24),
-    )
-        .prop_map(|((kind, a), v, len, run)| match kind {
-            0 => Op::LoadU32(a),
-            1 => Op::LoadU16(a),
-            2 => Op::LoadU8(a),
-            3 => Op::StoreU32(a, v),
-            4 => Op::StoreU16(a, v as u16),
-            5 => Op::StoreU8(a, v as u8),
-            6 => Op::ReadBlock(a, len),
-            7 => Op::WriteBlock(
-                a,
-                (0..len)
-                    .map(|i| (v >> (i % 4 * 8)) as u8 ^ i as u8)
-                    .collect(),
-            ),
-            8 => Op::ReadBlockU32(a, len / 4),
-            9 => Op::ReadBlockU16(a, len / 2),
-            10 => Op::WriteBlockU32(a, (0..len / 4).map(|i| v.rotate_left(i)).collect()),
-            _ => Op::Run(run),
-        })
+    ((0u8..11, addr()), any::<u32>(), 0u32..72).prop_map(|((kind, a), v, len)| match kind {
+        0 => Op::LoadU32(a),
+        1 => Op::LoadU16(a),
+        2 => Op::LoadU8(a),
+        3 => Op::StoreU32(a, v),
+        4 => Op::StoreU16(a, v as u16),
+        5 => Op::StoreU8(a, v as u8),
+        6 => Op::ReadBlock(a, len),
+        7 => Op::WriteBlock(
+            a,
+            (0..len)
+                .map(|i| (v >> (i % 4 * 8)) as u8 ^ i as u8)
+                .collect(),
+        ),
+        8 => Op::ReadBlockU32(a, len / 4),
+        9 => Op::ReadBlockU16(a, len / 2),
+        _ => Op::WriteBlockU32(a, (0..len / 4).map(|i| v.rotate_left(i)).collect()),
+    })
 }
 
 /// Everything one operation returns: its result and whatever it
@@ -162,7 +143,6 @@ fn apply(m: &mut Machine, op: &Op) -> (Result<(), AppError>, Vec<u32>, Vec<u8>) 
         Op::ReadBlockU32(a, n) => m.read_block_u32(*a, *n, &mut words),
         Op::ReadBlockU16(a, n) => m.read_block_u16(*a, *n, &mut words),
         Op::WriteBlockU32(a, w) => m.write_block_u32(*a, w),
-        Op::Run(run) => m.run_accesses(run, &mut words),
     };
     (result, words, bytes)
 }
@@ -170,7 +150,7 @@ fn apply(m: &mut Machine, op: &Op) -> (Result<(), AppError>, Vec<u32>, Vec<u8>) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random loads, stores, blocks and access runs — aligned or not,
+    /// Random loads, stores and blocks — aligned or not,
     /// mirrored or running off the end of memory — return identical
     /// values and identical errors, and leave identical memory behind.
     #[test]
