@@ -87,11 +87,6 @@ pub struct MemSystem {
     /// Whether fast-path reads must skip suspect lines (a detection
     /// scheme is enabled and would flag the stored mismatch).
     need_clean: bool,
-    /// Master toggle for the batched fast path. On and off runs are
-    /// bitwise identical; the toggle exists so tests can verify exactly
-    /// that (no benchmark uses it). Off means every access takes the
-    /// full checking path.
-    fast_path: bool,
     /// Reusable refill buffer (one L1 line) so misses allocate nothing.
     refill_buf: Box<[u8]>,
     /// Reusable line-segment buffer of [`MemSystem::sweep`].
@@ -167,7 +162,6 @@ impl MemSystem {
             bulk_ok,
             fast_ok,
             need_clean,
-            fast_path: true,
             refill_buf,
             run_segs: Vec::new(),
             persistent: cfg.persistent.map(|p| PersistentFaultProcess::new(p, seed)),
@@ -250,20 +244,6 @@ impl MemSystem {
         self.cr = cr;
         self.vsr = self.cfg.swing.relative_swing(cr);
         self.refresh_timing();
-    }
-
-    /// Enables or disables the batched fault-free fast path. Results,
-    /// timing, energy and fault statistics are bitwise identical either
-    /// way (only the diagnostic `fast_forward_accesses` /
-    /// `slow_path_accesses` split differs); the toggle exists so tests
-    /// can verify exactly that claim.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-    }
-
-    /// Whether the batched fault-free fast path is enabled.
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_path
     }
 
     /// Enables or disables fault injection (disabled ⇒ golden run).
@@ -859,7 +839,7 @@ impl MemSystem {
     /// path stores over the old word either way.
     #[inline]
     fn fast_hit(&mut self, word_addr: u32, write: bool) -> Option<(u32, usize)> {
-        if !(self.fast_path && self.fast_ok) {
+        if !self.fast_ok {
             return None;
         }
         let (set, way) = self.l1.fast_locate(word_addr)?;
@@ -1009,7 +989,7 @@ impl MemSystem {
         let exact = self.cfg.targets.data
             && self.sampler.is_enabled()
             && self.sampler.mode() == SamplingMode::PerAccess;
-        self.fast_path && self.bulk_ok && !exact
+        self.bulk_ok && !exact
     }
 
     /// Reads `len` bytes starting at `addr`, appending them to `out`.
@@ -1416,6 +1396,14 @@ mod tests {
         assert_eq!(m.read_u32(0x40).unwrap(), 123);
     }
 
+    /// Closes both fast-path gates, so every access of `m` takes the
+    /// full checking path: the reference the batched lanes must match
+    /// bit for bit.
+    fn force_slow_path(m: &mut MemSystem) {
+        m.fast_ok = false;
+        m.bulk_ok = false;
+    }
+
     /// A mixed read/write/subword workload with enough footprint to
     /// miss, running at a fault rate high enough to corrupt stores and
     /// exercise recovery.
@@ -1452,7 +1440,7 @@ mod tests {
             };
             let mut fast = mk();
             let mut slow = mk();
-            slow.set_fast_path(false);
+            force_slow_path(&mut slow);
             let values_fast = drive_mixed(&mut fast);
             let values_slow = drive_mixed(&mut slow);
             assert_eq!(values_fast, values_slow, "{detection:?}: values");
@@ -1493,7 +1481,7 @@ mod tests {
         };
         let mut fast = mk();
         let mut slow = mk();
-        slow.set_fast_path(false);
+        force_slow_path(&mut slow);
         assert_eq!(drive_mixed(&mut fast), drive_mixed(&mut slow));
         assert_eq!(fast.stats().fast_forward_accesses, 0);
         assert_eq!(fast.cycles(), slow.cycles());

@@ -7,11 +7,12 @@ use cache_sim::{
 };
 use clumsy_core::campaign::grid_hash;
 use clumsy_core::experiment::{paper_schemes, run_config_on_trace, ExperimentOptions, GridPoint};
+use clumsy_core::telemetry::{metric_keys, parse_metrics, METRICS_SCHEMA};
 use clumsy_core::{
     interrupt, run_campaign_durable, run_campaign_instrumented, run_campaign_on, run_serve,
-    CampaignConfig, ClumsyConfig, DurableOptions, DynamicConfig, FrequencyPlan, JournalError,
-    ProgressReporter, RebalanceConfig, SafeModeConfig, ServeConfig, ShedPolicy, Stopwatch,
-    Telemetry, PAPER_CYCLE_TIMES,
+    CampaignConfig, ClumsyConfig, Counter, DurableOptions, DynamicConfig, FrequencyPlan,
+    JournalError, ProgressReporter, RebalanceConfig, SafeModeConfig, ServeConfig, ShedPolicy,
+    Stopwatch, Telemetry, PAPER_CYCLE_TIMES,
 };
 use energy_model::EdfMetric;
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig, VoltageSwingCurve};
@@ -44,6 +45,16 @@ pub enum CliError {
         /// What the command line must also say for it to matter.
         requires: String,
     },
+    /// A command line that does not fit the command's usage.
+    Usage(String),
+    /// `clumsy metrics` could not read a requested value: the file is
+    /// unreadable, has no schema marker, or lacks the key.
+    Metrics {
+        /// The metrics file.
+        path: String,
+        /// What is wrong with it.
+        problem: String,
+    },
     /// A durable campaign was interrupted (SIGINT/SIGTERM) before all
     /// jobs ran; the journal makes it resumable. `main` prints the
     /// partial output and exits with status 3 rather than 2.
@@ -68,6 +79,8 @@ impl std::fmt::Display for CliError {
                 "--{option} has no effect without {requires}; drop the flag or enable the target"
             ),
             CliError::Journal(e) => write!(f, "{e}"),
+            CliError::Usage(msg) => write!(f, "{msg}"),
+            CliError::Metrics { path, problem } => write!(f, "metrics file {path:?}: {problem}"),
             CliError::Interrupted { partial, journal } => write!(
                 f,
                 "interrupted after {partial} jobs; rerun with --resume to finish ({journal})"
@@ -120,6 +133,9 @@ COMMANDS:
     serve    supervised, sharded packet service over an unbounded stream:
              never wedges — sheds under backpressure, restarts panicked
              shards, drains cleanly on SIGTERM (exit 0)
+    metrics  clumsy metrics <file> <key>...: print each key's value from a
+             --metrics JSON file, one per line (exit 1 if the file lacks the
+             schema marker or a key, 2 for a key the schema does not define)
     repro    regenerate a paper experiment (table1 | fig8 | fig12b)
     trace    describe the synthetic packet trace
     model    print the fault-model operating points
@@ -229,6 +245,49 @@ REPRO OPTIONS: --experiment <table1|fig8|fig12b>, --packets, --trials, --seed,
                --jobs <n> (parallel workers; default CLUMSY_JOBS or all cores)
 "
     .to_string()
+}
+
+/// `clumsy metrics <file> <key>...`: each key's integer value from a
+/// `--metrics` JSON file, one per line, in the order asked. A key the
+/// counter registry does not define is a usage error; a file without
+/// the schema marker, or without a requested key, is a failure.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] for a missing file or key argument or an
+/// unknown key; [`CliError::Metrics`] for an unreadable file, a missing
+/// schema marker or a missing key.
+pub fn metrics(argv: &[String]) -> Result<String, CliError> {
+    let (path, keys) = match argv {
+        [path, keys @ ..] if !keys.is_empty() => (path, keys),
+        _ => {
+            return Err(CliError::Usage(
+                "usage: clumsy metrics <file> <key>...".into(),
+            ))
+        }
+    };
+    let known = metric_keys();
+    if let Some(key) = keys.iter().find(|k| !known.contains(k)) {
+        return Err(CliError::Usage(format!(
+            "{key:?} is not an integer key of {METRICS_SCHEMA}"
+        )));
+    }
+    let failure = |problem: String| CliError::Metrics {
+        path: path.clone(),
+        problem,
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| failure(e.to_string()))?;
+    let map = parse_metrics(&text)
+        .ok_or_else(|| failure(format!("no {METRICS_SCHEMA} schema marker")))?;
+    let values = keys
+        .iter()
+        .map(|k| {
+            map.get(k)
+                .map(u64::to_string)
+                .ok_or_else(|| failure(format!("no {k:?} key")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(values.join("\n"))
 }
 
 fn apps_listing() -> String {
@@ -539,7 +598,7 @@ fn run(args: &Args) -> Result<String, CliError> {
         // `run` executes its trials serially in one call, so charge
         // each trial the average wall time of the batch.
         let trials = agg.runs.len().max(1);
-        t.add_total_jobs(trials as u64);
+        t.count(0, Counter::jobs_total, trials as u64);
         let per_trial = span.elapsed() / trials as u32;
         for (i, r) in agg.runs.iter().enumerate() {
             t.record_report(i, r);

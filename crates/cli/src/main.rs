@@ -6,6 +6,7 @@
 //! clumsy run --app route --cr 0.5 --detection parity --strikes 2
 //! clumsy sweep --app md5 --packets 5000
 //! clumsy model --beta 0.2
+//! clumsy metrics metrics.json jobs_total packets_shed
 //! ```
 
 #![forbid(unsafe_code)]
@@ -19,14 +20,14 @@ use args::Args;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = if argv.is_empty() {
-        Ok(Args::parse(["help".to_string()]).expect("help parses"))
-    } else {
-        Args::parse(argv)
+    let result = match argv.split_first() {
+        // Positional arguments, which the option parser rejects.
+        Some((command, rest)) if command == "metrics" => commands::metrics(rest),
+        Some(_) => Args::parse(argv)
+            .map_err(commands::CliError::from)
+            .and_then(|args| commands::dispatch(&args)),
+        None => commands::dispatch(&Args::parse(["help".to_string()]).expect("help parses")),
     };
-    let result = parsed
-        .map_err(commands::CliError::from)
-        .and_then(|args| commands::dispatch(&args));
     match result {
         Ok(text) => println!("{text}"),
         Err(e) => {
@@ -38,11 +39,14 @@ fn main() {
             // distinguish "resume me" (3) from "you did it wrong" (2).
             let code = match &e {
                 commands::CliError::Interrupted { .. } => clumsy_bench::EXIT_INTERRUPTED,
-                commands::CliError::Io { .. } => clumsy_bench::EXIT_FAILURES,
+                commands::CliError::Io { .. } | commands::CliError::Metrics { .. } => {
+                    clumsy_bench::EXIT_FAILURES
+                }
                 commands::CliError::Journal(err) => clumsy_bench::journal_exit_code(err),
                 commands::CliError::Args(_)
                 | commands::CliError::UnknownCommand(_)
-                | commands::CliError::InertOption { .. } => clumsy_bench::EXIT_USAGE,
+                | commands::CliError::InertOption { .. }
+                | commands::CliError::Usage(_) => clumsy_bench::EXIT_USAGE,
             };
             std::process::exit(code);
         }

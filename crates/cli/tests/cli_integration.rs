@@ -70,6 +70,58 @@ fn model_command_prints_operating_points() {
     assert!(stdout.contains("P_E/bit"));
 }
 
+#[test]
+fn metrics_command_reads_typed_values_with_distinct_exit_codes() {
+    let t = clumsy_core::Telemetry::with_shards(1);
+    t.count(0, clumsy_core::Counter::jobs_total, 7);
+    t.queue_depth_sample(42);
+    let dir = std::env::temp_dir().join(format!("clumsy-metrics-cmd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let good = dir.join("metrics.json");
+    std::fs::write(&good, t.metrics_json()).expect("write metrics");
+    let good = good.display().to_string();
+    let code = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_clumsy"))
+            .args(args)
+            .output()
+            .expect("binary spawns");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            out.status.code(),
+        )
+    };
+
+    // One value per line, in the order asked.
+    let (stdout, status) = code(&["metrics", &good, "queue_highwater", "jobs_total"]);
+    assert_eq!(status, Some(0));
+    assert_eq!(stdout, "42\n7\n");
+    // A key outside the registry is a usage error, whatever the file.
+    assert_eq!(code(&["metrics", &good, "no_such_key"]).1, Some(2));
+    assert_eq!(code(&["metrics", &good, "job_us_buckets"]).1, Some(2));
+    assert_eq!(code(&["metrics", &good]).1, Some(2));
+    // No schema marker, or a registry key the file lacks: a failure.
+    let bare = dir.join("bare.json");
+    std::fs::write(&bare, "{\"jobs_total\": 7}").expect("write");
+    assert_eq!(
+        code(&["metrics", &bare.display().to_string(), "jobs_total"]).1,
+        Some(1)
+    );
+    let cut = dir.join("cut.json");
+    let json = t.metrics_json();
+    std::fs::write(
+        &cut,
+        &json[..json.find("\"faults\"").expect("faults group")],
+    )
+    .expect("write");
+    let cut = cut.display().to_string();
+    assert_eq!(
+        code(&["metrics", &cut, "jobs_total"]),
+        ("7\n".into(), Some(0))
+    );
+    assert_eq!(code(&["metrics", &cut, "faults_injected"]).1, Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kill a durable campaign mid-run with SIGTERM, resume it, and require
 /// the final CSV to be byte-for-byte what an uninterrupted run writes.
 /// Timing-tolerant: if the campaign wins the race and finishes before

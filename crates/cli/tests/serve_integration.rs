@@ -6,6 +6,7 @@
 //! too) would race. A child process gives each test its own flag, its
 //! own handler, and a real SIGTERM.
 
+use clumsy_core::telemetry::parse_metrics;
 use std::collections::BTreeMap;
 use std::process::Command;
 
@@ -60,30 +61,6 @@ fn shard_rows(stdout: &str) -> Vec<(usize, u64, u64, u64, u64, String)> {
         .collect()
 }
 
-/// Minimal tolerant reader for the metrics JSON: every `"key": <int>`
-/// leaf (mirrors `clumsy_core::telemetry::parse_metrics`).
-fn parse_metrics(text: &str) -> BTreeMap<String, u64> {
-    let mut map = BTreeMap::new();
-    let segs: Vec<&str> = text.split('"').collect();
-    // In well-formed JSON, quotes alternate open/close, so quoted
-    // tokens sit at odd indices and segs[k + 1] is the text that
-    // follows token k: a key when it starts with `: <digits>`.
-    for k in (1..segs.len()).step_by(2) {
-        let Some(follow) = segs.get(k + 1) else { break };
-        if let Some(rest) = follow.trim_start().strip_prefix(':') {
-            let digits: String = rest
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if let Ok(v) = digits.parse::<u64>() {
-                map.insert(segs[k].to_string(), v);
-            }
-        }
-    }
-    map
-}
-
 #[cfg(unix)]
 #[test]
 fn sigterm_mid_stream_drains_and_exits_zero() {
@@ -119,7 +96,7 @@ fn sigterm_mid_stream_drains_and_exits_zero() {
     // everything ingested was processed, dropped, or abandoned.
     let text = std::fs::read_to_string(&metrics).expect("final metrics written");
     assert!(text.contains("clumsy-metrics-v1"), "{text}");
-    let map = parse_metrics(&text);
+    let map = parse_metrics(&text).expect("schema marker present");
     let get = |k: &str| *map.get(k).unwrap_or_else(|| panic!("metrics lost {k}"));
     assert!(get("packets_ingested") > 0, "{text}");
     assert_eq!(
@@ -279,7 +256,7 @@ fn class_aware_overload_spares_control_while_data_absorbs_it() {
     let s = summary_fields(&stdout, "slo:");
     assert!(s.get("activations").copied().unwrap_or(0) > 0, "{stdout}");
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
-    let map = parse_metrics(&text);
+    let map = parse_metrics(&text).expect("schema marker present");
     let mget = |k: &str| {
         *map.get(k)
             .unwrap_or_else(|| panic!("metrics lost {k}: {text}"))
@@ -355,7 +332,7 @@ fn overload_mode_sheds_the_elephant_and_keeps_accounting() {
 
     // The latency histogram made it into the serve metrics group.
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
-    let map = parse_metrics(&text);
+    let map = parse_metrics(&text).expect("schema marker present");
     let mget = |k: &str| {
         *map.get(k)
             .unwrap_or_else(|| panic!("metrics lost {k}: {text}"))

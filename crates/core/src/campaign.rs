@@ -30,7 +30,7 @@ use crate::experiment::{Aggregate, ExperimentOptions, GridPoint};
 use crate::journal::{self, JournalError, JournalHeader, JournalWriter, Record, JOURNAL_VERSION};
 use crate::processor::{ClumsyProcessor, GoldenData};
 use crate::report::RunReport;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Counter, Telemetry};
 use netbench::AppKind;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -287,7 +287,7 @@ where
     let give_up_telemetry = telemetry.clone();
     let mut give_up = |job: usize, attempt: u32, failure: JobFailure| {
         if let Some(t) = &give_up_telemetry {
-            t.job_failed();
+            t.count(0, Counter::jobs_failed, 1);
         }
         failures.push(IsolatedFailure {
             job,
@@ -350,7 +350,7 @@ where
         if capped && !cap_warned {
             cap_warned = true;
             if let Some(t) = &telemetry {
-                t.abandoned_cap_hit();
+                t.count(0, Counter::abandoned_cap_hits, 1);
             }
             eprintln!(
                 "warning: campaign: {} abandoned attempts still running (cap {cap}); \
@@ -408,7 +408,7 @@ where
                             // it from attempt 0.
                         } else if attempt < cfg.retries {
                             if let Some(t) = &telemetry {
-                                t.job_retried();
+                                t.count(0, Counter::jobs_retried, 1);
                             }
                             pending.push_back((job, attempt + 1));
                         } else {
@@ -450,7 +450,7 @@ where
                         // As above: incomplete, rerun on resume.
                     } else if attempt < cfg.retries {
                         if let Some(t) = &telemetry {
-                            t.job_retried();
+                            t.count(0, Counter::jobs_retried, 1);
                         }
                         pending.push_back((job, attempt + 1));
                     } else {
@@ -559,7 +559,11 @@ pub fn run_campaign_instrumented(
     cfg: &CampaignConfig,
     telemetry: &Arc<Telemetry>,
 ) -> CampaignReport {
-    telemetry.add_total_jobs((points.len() * opts.trials.max(1) as usize) as u64);
+    telemetry.count(
+        0,
+        Counter::jobs_total,
+        (points.len() * opts.trials.max(1) as usize) as u64,
+    );
     let control = BatchControl {
         telemetry: Some(Arc::clone(telemetry)),
         ..BatchControl::default()
@@ -834,8 +838,8 @@ pub fn run_campaign_durable(
     let replayed_jobs = prefilled.len();
 
     if let Some(t) = &durable.telemetry {
-        t.add_total_jobs(total_jobs as u64);
-        t.add_replayed_jobs(replayed_jobs as u64);
+        t.count(0, Counter::jobs_total, total_jobs as u64);
+        t.count(0, Counter::jobs_replayed, replayed_jobs as u64);
         // Fold replayed trials into the fault/outcome tallies so the
         // progress view covers the whole campaign, not just the resumed
         // remainder.

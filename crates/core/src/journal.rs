@@ -30,7 +30,7 @@
 //! fixed-field-order scanner instead of a general JSON parser.
 
 use crate::report::{FatalInfo, RunReport};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Counter, Telemetry};
 use netbench::{AppError, AppKind, ErrorCategory, FatalError};
 use std::collections::BTreeMap;
 use std::fs;
@@ -909,7 +909,7 @@ impl JournalWriter {
                     Some(t) => {
                         let sync = crate::telemetry::Stopwatch::start();
                         file.sync_data()?;
-                        t.journal_records(records);
+                        t.count(0, Counter::journal_records, records);
                         t.journal_fsync(sync.elapsed());
                     }
                     None => file.sync_data()?,

@@ -72,7 +72,9 @@ pub use serve::{
     PushOutcome, RebalanceConfig, RouteKind, ServeConfig, ServeReport, ShardReport, ShedPolicy,
 };
 pub use taxonomy::{OutcomeCounts, TrialOutcome};
-pub use telemetry::{MetricsFlusher, MetricsSnapshot, ProgressReporter, Stopwatch, Telemetry};
+pub use telemetry::{
+    Counter, MetricsFlusher, MetricsSnapshot, ProgressReporter, Stopwatch, Telemetry,
+};
 
 /// The paper's static frequency settings: `Cr` ∈ {1.0, 0.75, 0.5, 0.25}
 /// (frequency increases of 0 %, 50 %, 100 %, 300 %).

@@ -35,7 +35,7 @@ use crate::campaign::{panic_message, RESEED_STRIDE};
 use crate::config::{ClumsyConfig, FrequencyPlan};
 use crate::controller::{Decision, DynamicController};
 use crate::processor::{ClumsyProcessor, GoldenPass};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Counter, Telemetry};
 use cache_sim::{DetectionScheme, MemStats};
 use netbench::{
     diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Observation, Packet,
@@ -1515,7 +1515,7 @@ fn shard_loop(
             Err(_) => {
                 rep.setup_retries += 1;
                 if let Some(t) = telemetry {
-                    t.shard_setup_retry();
+                    t.count(shard, Counter::shard_setup_retries, 1);
                 }
             }
         }
@@ -1620,12 +1620,12 @@ fn supervise_shard(
                 if carry.in_flight.take().is_some() {
                     rep.abandoned += 1;
                     if let Some(t) = telemetry {
-                        t.packet_abandoned();
+                        t.count(shard, Counter::packets_abandoned, 1);
                     }
                 }
                 if let Some(t) = telemetry {
-                    t.shard_panic();
-                    t.shard_restarted();
+                    t.count(shard, Counter::shard_panics, 1);
+                    t.count(shard, Counter::shard_restarts, 1);
                 }
                 // Loop: the next generation rebuilds with the next
                 // reseed round and keeps consuming the same queue.
@@ -1750,13 +1750,13 @@ pub fn run_serve(
             if let (Some(s), Some(t)) = (slo.as_mut(), telemetry) {
                 if generated.is_multiple_of(SLO_CHECK_INTERVAL) {
                     s.update(&t.serve_latency_bucket_counts());
-                    if s.activations > slo_reported_activations {
-                        for _ in slo_reported_activations..s.activations {
-                            t.slo_activation();
-                        }
-                        slo_reported_activations = s.activations;
-                    }
-                    t.set_slo_last_p99_us(s.last_p99_us);
+                    t.count(
+                        0,
+                        Counter::slo_trigger_activations,
+                        s.activations - slo_reported_activations,
+                    );
+                    slo_reported_activations = s.activations;
+                    t.count(0, Counter::slo_last_p99_us, s.last_p99_us);
                 }
                 if s.active && class == TrafficClass::Data {
                     shed_timeout = Duration::ZERO;
@@ -1774,9 +1774,9 @@ pub fn run_serve(
                     RouteKind::Pinned | RouteKind::NewPin => {
                         packets_diverted += 1;
                         if let Some(t) = telemetry {
-                            t.packet_diverted();
+                            t.count(0, Counter::packets_diverted, 1);
                             if kind == RouteKind::NewPin {
-                                t.flow_diverted();
+                                t.count(0, Counter::flows_diverted, 1);
                             }
                         }
                     }
@@ -1816,7 +1816,7 @@ pub fn run_serve(
                     // eviction is one data-class shed attributed to
                     // the evicted flow. Telemetry mirrors this with
                     // monotone counters: no packet_ingested for the
-                    // control packet, one packet_shed for the evicted
+                    // control packet, one packets_shed for the evicted
                     // one, so `generated = ingested + shed` stays
                     // exact on both ledgers.
                     shed += 1;
@@ -1827,9 +1827,9 @@ pub fn run_serve(
                         flow_stats.entry(evicted_flow).or_insert((0, 0)).1 += 1;
                     }
                     if let Some(t) = telemetry {
-                        t.packet_shed();
-                        t.packet_shed_data();
-                        t.packet_preempt_shed();
+                        t.count(0, Counter::packets_shed, 1);
+                        t.count(0, Counter::packets_shed_data, 1);
+                        t.count(0, Counter::packets_preempt_shed, 1);
                         t.queue_depth_sample(depth as u64);
                     }
                 }
@@ -1850,15 +1850,16 @@ pub fn run_serve(
                         flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
                     }
                     if let Some(t) = telemetry {
-                        t.packet_shed();
+                        t.count(0, Counter::packets_shed, 1);
                         if classes_on {
-                            match class {
-                                TrafficClass::Control => t.packet_shed_control(),
-                                TrafficClass::Data => t.packet_shed_data(),
-                            }
+                            let counter = match class {
+                                TrafficClass::Control => Counter::packets_shed_control,
+                                TrafficClass::Data => Counter::packets_shed_data,
+                            };
+                            t.count(0, counter, 1);
                         }
                         if slo_tightened {
-                            t.packet_shed_slo();
+                            t.count(0, Counter::packets_shed_slo, 1);
                         }
                     }
                 }
@@ -1872,10 +1873,10 @@ pub fn run_serve(
                     }
                     flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
                     if let Some(t) = telemetry {
-                        t.packet_shed();
-                        t.packet_shed_flow_cap();
+                        t.count(0, Counter::packets_shed, 1);
+                        t.count(0, Counter::packets_shed_flow_cap, 1);
                         if classes_on {
-                            t.packet_shed_data();
+                            t.count(0, Counter::packets_shed_data, 1);
                         }
                     }
                 }
@@ -1899,18 +1900,14 @@ pub fn run_serve(
             t.queue_depth_sample(q.highwater() as u64);
         }
         let repairs: u64 = queues.iter().map(IngressQueue::invariant_repairs).sum();
-        if repairs > 0 {
-            t.add_queue_invariant_repairs(repairs);
-        }
+        t.count(0, Counter::queue_invariant_repairs, repairs);
     }
     let overload = overload_on.then(|| {
         let drr_deficit_topups: u64 = queues.iter().map(IngressQueue::drr_topups).sum();
         let pin_table_full = director.as_ref().map_or(0, FlowDirector::pin_table_full);
         if let Some(t) = telemetry {
-            t.add_drr_topups(drr_deficit_topups);
-            if pin_table_full > 0 {
-                t.add_pin_table_full(pin_table_full);
-            }
+            t.count(0, Counter::drr_deficit_topups, drr_deficit_topups);
+            t.count(0, Counter::rebalance_pin_table_full, pin_table_full);
         }
         let mut top_flows: Vec<FlowTraffic> = flow_stats
             .iter()

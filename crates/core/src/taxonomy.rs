@@ -64,8 +64,9 @@ impl TrialOutcome {
         }
     }
 
-    /// All outcomes, least to most severe.
-    pub fn all() -> [TrialOutcome; 6] {
+    /// All outcomes, least to most severe. The one definition of
+    /// outcome order; telemetry's tallies follow it.
+    pub const fn all() -> [TrialOutcome; 6] {
         [
             TrialOutcome::Masked,
             TrialOutcome::Corrected,

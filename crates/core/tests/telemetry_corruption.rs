@@ -5,7 +5,7 @@
 //! counters, never garbage presented as data.
 
 use clumsy_core::telemetry::{parse_metrics, METRICS_SCHEMA};
-use clumsy_core::Telemetry;
+use clumsy_core::{Counter, Telemetry};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -13,16 +13,16 @@ use std::time::Duration;
 /// its JSON exercises all key groups.
 fn busy_telemetry() -> Telemetry {
     let t = Telemetry::with_shards(2);
-    t.add_total_jobs(10);
-    t.add_replayed_jobs(3);
+    t.count(0, Counter::jobs_total, 10);
+    t.count(0, Counter::jobs_replayed, 3);
     for job in 0..5 {
         t.job_completed(job, Duration::from_micros(150 + job as u64 * 40));
     }
-    t.job_retried();
-    t.job_failed();
+    t.count(0, Counter::jobs_retried, 1);
+    t.count(0, Counter::jobs_failed, 1);
     let _ = t.abandoned_attempt();
-    t.abandoned_cap_hit();
-    t.journal_records(4);
+    t.count(0, Counter::abandoned_cap_hits, 1);
+    t.count(0, Counter::journal_records, 4);
     t.journal_fsync(Duration::from_micros(900));
     t.engine_job(0, Duration::from_micros(75));
     t

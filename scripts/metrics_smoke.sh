@@ -37,19 +37,22 @@ REQUIRED_KEYS=(
   outcome_detected_fatal outcome_sdc outcome_recovery_failed
   journal_records journal_fsyncs journal_fsync_us_total journal_fsync_us_max
   engine_jobs engine_us_total fast_forward_accesses slow_path_accesses
-  job_us_count job_us_total job_us_max job_us_buckets
+  job_us_count job_us_total job_us_max
 )
-for key in "${REQUIRED_KEYS[@]}"; do
-    grep -q "\"$key\":" "$WORK/metrics.json" \
-        || { echo "FAIL: metrics JSON is missing \"$key\""; exit 1; }
-done
-echo "all ${#REQUIRED_KEYS[@]} required keys present"
+# The typed reader exits nonzero when the file lacks any requested key.
+"$BIN" metrics "$WORK/metrics.json" "${REQUIRED_KEYS[@]}" > /dev/null \
+    || { echo "FAIL: metrics JSON is missing a required key"; exit 1; }
+# The bucket array is not an integer leaf: check its presence directly.
+grep -q '"job_us_buckets":' "$WORK/metrics.json" \
+    || { echo "FAIL: metrics JSON is missing \"job_us_buckets\""; exit 1; }
+echo "all $((${#REQUIRED_KEYS[@]} + 1)) required keys present"
 
 echo "== sanity: the counters saw the run =="
-grep -q '"jobs_total": 0' "$WORK/metrics.json" \
-    && { echo "FAIL: jobs_total is zero"; exit 1; }
-grep -q '"journal_records": 0' "$WORK/metrics.json" \
-    && { echo "FAIL: durable run journaled nothing"; exit 1; }
+metric() { "$BIN" metrics "$WORK/metrics.json" "$1"; }
+[ "$(metric jobs_total)" -gt 0 ] \
+    || { echo "FAIL: jobs_total is zero"; exit 1; }
+[ "$(metric journal_records)" -gt 0 ] \
+    || { echo "FAIL: durable run journaled nothing"; exit 1; }
 
 echo "== telemetry-off run must produce an identical CSV =="
 "$BIN" "${ARGS[@]}" --csv "$WORK/without.csv" > /dev/null

@@ -37,9 +37,9 @@ trap 'rm -rf "$WORK"' EXIT
 PACKETS="${PACKETS:-4000}"
 SHARDS=2
 
-metric() {
-    grep -o "\"$1\": [0-9]*" "$WORK/metrics.json" | head -n1 | grep -o '[0-9]*$'
-}
+# One integer from the metrics file, through the typed reader: exits
+# nonzero when the schema marker or the key is missing.
+metric() { "$BIN" metrics "$WORK/metrics.json" "$1"; }
 
 # Pulls `key=N` off a summary line.
 field() { # field <key> <file>

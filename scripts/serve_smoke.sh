@@ -24,9 +24,9 @@ SHARDS="${SERVE_SHARDS:-2}"
 # so the accounting below is exact.
 ARGS=(serve --app crc --shards "$SHARDS" --queue-depth 64 --shed-timeout-ms 60000)
 
-metric() {
-    grep -o "\"$1\": [0-9]*" "$WORK/metrics.json" | head -n1 | grep -o '[0-9]*$'
-}
+# One integer from the metrics file, through the typed reader: exits
+# nonzero when the schema marker or the key is missing.
+metric() { "$BIN" metrics "$WORK/metrics.json" "$1"; }
 
 echo "== serve for ${SECS}s on ${SHARDS} shards, then SIGTERM =="
 "$BIN" "${ARGS[@]}" --metrics "$WORK/metrics.json" --metrics-interval 1 \
@@ -56,10 +56,8 @@ SERVE_KEYS=(
   packets_dropped packets_abandoned shard_panics shard_restarts
   shard_setup_retries queue_highwater
 )
-for key in "${SERVE_KEYS[@]}"; do
-    grep -q "\"$key\":" "$WORK/metrics.json" \
-        || { echo "FAIL: metrics JSON is missing \"$key\""; exit 1; }
-done
+"$BIN" metrics "$WORK/metrics.json" "${SERVE_KEYS[@]}" > /dev/null \
+    || { echo "FAIL: metrics JSON is missing a serve key"; exit 1; }
 echo "all ${#SERVE_KEYS[@]} serve keys present"
 
 echo "== drain accounting holds in the snapshot =="

@@ -22,9 +22,9 @@ PACKETS="${SOAK_PACKETS:-1000000}"
 SHARDS="${SOAK_SHARDS:-4}"
 DEPTH=1024
 
-metric() {
-    grep -o "\"$1\": [0-9]*" "$WORK/metrics.json" | head -n1 | grep -o '[0-9]*$'
-}
+# One integer from the metrics file, through the typed reader: exits
+# nonzero when the schema marker or the key is missing.
+metric() { "$BIN" metrics "$WORK/metrics.json" "$1"; }
 
 echo "== soak: $PACKETS packets over $SHARDS shards (panic injected mid-stream) =="
 "$BIN" serve --app crc --shards "$SHARDS" --queue-depth "$DEPTH" \
