@@ -2,7 +2,7 @@
 //!
 //! Two grids, two CSVs:
 //!
-//! 1. **Scheme comparison** (`results/way_disable.csv`): applications ×
+//! 1. **Scheme comparison** (`way_disable.csv`): applications ×
 //!    {strike-forever, way-disable} × sticky fault-site rate. The
 //!    paper's strike policies treat every fault as transient — a
 //!    permanently bad slot is refetched from L2 on every touch,
@@ -13,7 +13,7 @@
 //!    the outcome taxonomy, the degraded-mode counters and relative
 //!    EDF² per cell.
 //!
-//! 2. **Predictor validation** (`results/degradation_model.csv`): an
+//! 2. **Predictor validation** (`degradation_model.csv`): an
 //!    INTERPLAY-style analytical model ([`DegradationModel`]) estimates
 //!    the cycle/energy cost of a disabled-way map without simulating.
 //!    This grid sweeps cache geometries (validated fallibly via
@@ -23,56 +23,27 @@
 //!    error. Within each geometry the `uniform-d` family (d ways
 //!    disabled in every set) must degrade monotonically — graceful
 //!    degradation, never a wedge.
-//!
-//! `--smoke` runs a fast self-check instead (no CSVs): escalation must
-//! disable at least one way, salvaged dirty data must survive the
-//! disable and read back correctly through the bypass, and the
-//! predictor error on a small grid must stay under the recorded bound.
-//!
-//! `--metrics <path>` writes telemetry counters as JSON; `--progress`
-//! prints periodic progress/ETA lines on stderr. Both are passive: the
-//! CSVs are bitwise identical with or without them.
 
+use super::{campaign, canonical_options};
+use crate::{f, Table};
 use cache_sim::{
     relative_error, BaselineProfile, CacheGeometry, DegradationModel, DetectionScheme, MemConfig,
     MemSystem, StrikePolicy, WayDisablePolicy,
 };
-use clumsy_bench::{EXIT_FAILURES, EXIT_USAGE};
-use clumsy_core::experiment::{run_config_on_trace, ExperimentOptions, GridPoint};
-use clumsy_core::{
-    run_campaign_instrumented, run_campaign_on, CampaignConfig, ClumsyConfig, Engine,
-    ProgressReporter, Telemetry,
-};
+use clumsy_core::experiment::{run_grid_on, ExperimentOptions, GridPoint};
+use clumsy_core::{ClumsyConfig, Engine};
 use energy_model::EdfMetric;
 use fault_model::PersistentSiteConfig;
 use netbench::AppKind;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Predictor acceptance bound: relative cycle error on every grid
-/// point, recorded in the CSV and asserted by `--smoke`.
+/// point, recorded in the CSV and checked on every run.
 const ERROR_BOUND: f64 = 0.15;
 
 /// Sticky fault-site activation probabilities under test (per access
 /// to a pristine slot). The top rate is brutal on purpose: it decays
 /// much of the cache, exercising graceful degradation at scale.
 const P_SITES: [f64; 3] = [1e-5, 1e-4, 1e-3];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-    } else {
-        let progress = args.iter().any(|a| a == "--progress");
-        let metrics = args.iter().position(|a| a == "--metrics").map(|i| {
-            args.get(i + 1).map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("error: --metrics needs a path");
-                std::process::exit(EXIT_USAGE);
-            })
-        });
-        full(metrics, progress);
-    }
-}
 
 /// The two recovery schemes under comparison, both parity/two-strike:
 /// the difference is purely what happens when strikes repeat.
@@ -94,21 +65,17 @@ fn scheme_config(policy: Option<WayDisablePolicy>, p_site: f64) -> ClumsyConfig 
     cfg
 }
 
-fn full(metrics: Option<PathBuf>, progress: bool) {
-    let mut opts = ExperimentOptions::from_env();
+/// Both grids, then the acceptance checks: every job completed (a
+/// degraded system slows down, it never wedges), escalation actually
+/// fired, the predictor stayed in bound and degraded monotonically,
+/// and — at the recording scale, where the permanent process has time
+/// to do real damage — way-disable beat strike-forever on EDF² at the
+/// harshest site rate.
+pub fn run(engine: &Engine, env_opts: &ExperimentOptions) -> Result<Vec<Table>, String> {
+    let recording = *env_opts == canonical_options(None);
+    let mut opts = env_opts.clone();
     opts.trials = opts.trials.max(4);
-    let telemetry = (metrics.is_some() || progress).then(|| Arc::new(Telemetry::new()));
-    let mut engine = Engine::from_env();
-    if let Some(t) = &telemetry {
-        engine = engine.with_telemetry(Arc::clone(t));
-    }
-    let reporter = telemetry.as_ref().filter(|_| progress).map(|t| {
-        ProgressReporter::start(
-            Arc::clone(t),
-            "way_disable",
-            std::time::Duration::from_secs(2),
-        )
-    });
+    let opts = &opts;
     let trace = opts.trace.generate();
     let metric = EdfMetric::paper();
     let apps = [AppKind::Route, AppKind::Tl, AppKind::Md5];
@@ -126,14 +93,11 @@ fn full(metrics: Option<PathBuf>, progress: bool) {
             }
         }
     }
-    let ccfg = CampaignConfig::default();
-    let report = match &telemetry {
-        Some(t) => run_campaign_instrumented(&engine, &points, &trace, &opts, &ccfg, t),
-        None => run_campaign_on(&engine, &points, &trace, &opts, &ccfg),
-    };
-    let baselines: Vec<f64> = apps
+    let report = campaign(engine, &points, &trace, opts);
+    let baseline_points = apps.map(|app| GridPoint::new(app, ClumsyConfig::baseline()));
+    let baselines: Vec<f64> = run_grid_on(engine, &baseline_points, &trace, opts)
         .iter()
-        .map(|&app| run_config_on_trace(app, &ClumsyConfig::baseline(), &trace, &opts).edf(&metric))
+        .map(|agg| agg.edf(&metric))
         .collect();
 
     let cells_per_app = schemes().len() * P_SITES.len();
@@ -157,10 +121,10 @@ fn full(metrics: Option<PathBuf>, progress: bool) {
                 scheme.to_string(),
                 format!("{p_site:.0e}"),
                 c.total().to_string(),
-                clumsy_bench::f(agg.delay_per_packet()),
-                clumsy_bench::f(agg.energy_per_packet()),
-                clumsy_bench::f(agg.fallibility()),
-                clumsy_bench::f(rel),
+                f(agg.delay_per_packet()),
+                f(agg.energy_per_packet()),
+                f(agg.fallibility()),
+                f(rel),
                 disabled.to_string(),
                 sum(|s| s.salvage_writebacks).to_string(),
                 sum(|s| s.bypass_accesses).to_string(),
@@ -169,90 +133,29 @@ fn full(metrics: Option<PathBuf>, progress: bool) {
             ]
         })
         .collect();
-    let header = [
-        "app",
-        "scheme",
-        "p_site",
-        "trials",
-        "cycles_per_packet",
-        "nj_per_packet",
-        "fallibility",
-        "rel_edf2",
-        "ways_disabled",
-        "salvage_writebacks",
-        "bypass_accesses",
-        "sdc",
-        "recovery_failed",
-    ];
-    clumsy_bench::print_table(
-        "Permanent faults: strike-forever vs way-disable (parity/two-strike)",
-        &header,
-        &rows,
-    );
-    let path = clumsy_bench::or_exit(clumsy_bench::write_csv("way_disable.csv", &header, &rows));
-    println!("\nwrote {}", path.display());
 
     // Grid 2: predictor validation over geometries × disabled-way maps.
-    let (model_rows, max_err) = predictor_grid(80_000, true);
-    let model_header = [
-        "geometry",
-        "map",
-        "disabled_ways",
-        "bypass_sets",
-        "predicted_cycles",
-        "actual_cycles",
-        "err_cycles",
-        "predicted_edf2",
-        "actual_edf2",
-        "err_edf2",
-    ];
-    clumsy_bench::print_table(
-        "Analytical degradation predictor vs simulation",
-        &model_header,
-        &model_rows,
-    );
-    let model_path = clumsy_bench::or_exit(clumsy_bench::write_csv(
-        "degradation_model.csv",
-        &model_header,
-        &model_rows,
-    ));
-    println!("\nwrote {}", model_path.display());
-    println!(
-        "max predictor cycle error: {:.1}% (bound {:.0}%)",
-        max_err * 100.0,
-        ERROR_BOUND * 100.0
-    );
+    let grid = predictor_grid(80_000);
 
-    drop(reporter);
-    if let (Some(path), Some(t)) = (&metrics, &telemetry) {
-        if let Err(e) = clumsy_core::atomic_write(path, t.metrics_json().as_bytes()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(EXIT_FAILURES);
-        }
-        eprintln!("wrote metrics {}", path.display());
-    }
-
-    // Acceptance checks: every job completed (a degraded system slows
-    // down, it never wedges), escalation actually fired, the predictor
-    // stayed in bound, and way-disable beat strike-forever on EDF²
-    // wherever the persistent process did real damage.
-    let mut failed = false;
+    let mut failures = grid.non_monotone.clone();
     if !report.is_complete() {
-        eprintln!("{} of {} jobs failed", report.failures.len(), labels.len());
-        failed = true;
+        failures.push(format!(
+            "{} of {} jobs failed",
+            report.failures.len(),
+            labels.len()
+        ));
     }
     if ways_disabled_total == 0 {
-        eprintln!("no way was ever disabled — escalation never fired");
-        failed = true;
+        failures.push("no way was ever disabled — escalation never fired".to_string());
     }
-    if max_err > ERROR_BOUND {
-        eprintln!(
+    if grid.max_err > ERROR_BOUND {
+        failures.push(format!(
             "predictor error {:.1}% exceeds the {:.0}% bound",
-            max_err * 100.0,
+            grid.max_err * 100.0,
             ERROR_BOUND * 100.0
-        );
-        failed = true;
+        ));
     }
+    let mut notes = Vec::new();
     for (a, app) in apps.iter().enumerate() {
         // Cells are laid out scheme-major within each app; compare the
         // two schemes at the harshest site rate, where the permanent
@@ -260,17 +163,69 @@ fn full(metrics: Option<PathBuf>, progress: bool) {
         let forever = rel_edf[a * cells_per_app + P_SITES.len() - 1];
         let disable = rel_edf[a * cells_per_app + 2 * P_SITES.len() - 1];
         if disable >= forever {
-            eprintln!(
+            let problem = format!(
                 "{app}: way-disable EDF² {disable:.3} did not beat strike-forever {forever:.3} \
                  at p_site={:.0e}",
                 P_SITES[P_SITES.len() - 1]
             );
-            failed = true;
+            if recording {
+                failures.push(problem);
+            } else {
+                notes.push(format!("checked only at the recording options: {problem}"));
+            }
         }
     }
-    if failed {
-        std::process::exit(EXIT_FAILURES);
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
     }
+
+    let mut model_notes = grid.skipped;
+    model_notes.push(format!(
+        "max predictor cycle error: {:.1}% (bound {:.0}%)",
+        grid.max_err * 100.0,
+        ERROR_BOUND * 100.0
+    ));
+    Ok(vec![
+        Table::new(
+            "way_disable.csv",
+            "Permanent faults: strike-forever vs way-disable (parity/two-strike)",
+            &[
+                "app",
+                "scheme",
+                "p_site",
+                "trials",
+                "cycles_per_packet",
+                "nj_per_packet",
+                "fallibility",
+                "rel_edf2",
+                "ways_disabled",
+                "salvage_writebacks",
+                "bypass_accesses",
+                "sdc",
+                "recovery_failed",
+            ],
+            rows,
+        )
+        .with_notes(notes),
+        Table::new(
+            "degradation_model.csv",
+            "Analytical degradation predictor vs simulation",
+            &[
+                "geometry",
+                "map",
+                "disabled_ways",
+                "bypass_sets",
+                "predicted_cycles",
+                "actual_cycles",
+                "err_cycles",
+                "predicted_edf2",
+                "actual_edf2",
+                "err_edf2",
+            ],
+            grid.rows,
+        )
+        .with_notes(model_notes),
+    ])
 }
 
 /// Candidate geometries for the predictor sweep, including unbuildable
@@ -323,17 +278,34 @@ fn degraded_run(cfg: &MemConfig, disabled: &[u32], accesses: usize, lines: u32) 
     mem
 }
 
-/// Sweeps geometries × disabled-way maps, returning the CSV rows and
-/// the maximum relative cycle error. `check_monotone` additionally
-/// asserts graceful degradation along each geometry's uniform family.
-fn predictor_grid(accesses: usize, check_monotone: bool) -> (Vec<Vec<String>>, f64) {
-    let mut rows = Vec::new();
-    let mut max_err = 0.0f64;
+/// The predictor sweep's outcome.
+struct PredictorGrid {
+    /// CSV rows, one per (geometry, map).
+    rows: Vec<Vec<String>>,
+    /// Maximum relative cycle error over the grid.
+    max_err: f64,
+    /// One line per unbuildable candidate geometry.
+    skipped: Vec<String>,
+    /// One line per uniform-family step that got faster with more
+    /// ways disabled (graceful degradation violated).
+    non_monotone: Vec<String>,
+}
+
+/// Sweeps geometries × disabled-way maps with `accesses` reads per map.
+fn predictor_grid(accesses: usize) -> PredictorGrid {
+    let mut grid = PredictorGrid {
+        rows: Vec::new(),
+        max_err: 0.0,
+        skipped: Vec::new(),
+        non_monotone: Vec::new(),
+    };
     for (size, line, assoc) in geometry_candidates() {
         let geom = match CacheGeometry::try_new(size, line, assoc) {
             Ok(g) => g,
             Err(e) => {
-                println!("skipping geometry {size}B/{line}B/{assoc}-way: {e}");
+                grid.skipped.push(format!(
+                    "skipping geometry {size}B/{line}B/{assoc}-way: {e}"
+                ));
                 continue;
             }
         };
@@ -375,110 +347,108 @@ fn predictor_grid(accesses: usize, check_monotone: bool) -> (Vec<Vec<String>>, f
                 * (actual_cycles / base.cycles);
             let err_c = relative_error(est.cycles, actual_cycles);
             let err_e = relative_error(est.edf2_ratio, actual_edf2);
-            max_err = max_err.max(err_c);
+            grid.max_err = grid.max_err.max(err_c);
             if map_name.starts_with("uniform-") {
                 family_cycles.push(actual_cycles);
             }
-            rows.push(vec![
+            grid.rows.push(vec![
                 name.clone(),
                 map_name.clone(),
                 map.iter().sum::<u32>().to_string(),
                 map.iter().filter(|&&d| d == assoc).count().to_string(),
-                clumsy_bench::f(est.cycles),
-                clumsy_bench::f(actual_cycles),
-                clumsy_bench::f(err_c),
-                clumsy_bench::f(est.edf2_ratio),
-                clumsy_bench::f(actual_edf2),
-                clumsy_bench::f(err_e),
+                f(est.cycles),
+                f(actual_cycles),
+                f(err_c),
+                f(est.edf2_ratio),
+                f(actual_edf2),
+                f(err_e),
             ]);
         }
-        if check_monotone {
-            for pair in family_cycles.windows(2) {
-                assert!(
-                    pair[1] >= pair[0] * 0.999,
+        for pair in family_cycles.windows(2) {
+            if pair[1] < pair[0] * 0.999 {
+                grid.non_monotone.push(format!(
                     "{name}: degradation must be monotone in disabled ways \
                      ({} then {} cycles)",
-                    pair[0],
-                    pair[1]
-                );
+                    pair[0], pair[1]
+                ));
             }
         }
     }
-    (rows, max_err)
+    grid
 }
 
-/// Fast self-check of the degraded machinery; writes nothing.
-fn smoke() {
-    // 1. Escalation: sticky sites + strike recovery must map at least
-    //    one way out, and the run must complete regardless.
-    let cfg = MemConfig::strongarm()
-        .with_detection(DetectionScheme::Parity)
-        .with_strikes(StrikePolicy::two_strike())
-        .with_persistent(PersistentSiteConfig::hard(0.01))
-        .with_way_disable(WayDisablePolicy::new(2, 50_000));
-    let mut m = MemSystem::new(cfg, 0xDEAD_5EED);
-    for i in 0..256u32 {
-        m.host_write_u32(i * 4, i).unwrap();
-    }
-    for i in 0..60_000u64 {
-        let _ = m.read_u32(((i % 256) * 4) as u32).unwrap();
-    }
-    let s = *m.stats();
-    assert!(
-        s.ways_disabled > 0,
-        "escalation never disabled a way: {s:?}"
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // 2. Salvage: dirty data written into a set must survive the whole
-    //    set being mapped out, and read back through the L2 bypass.
-    let mut m = MemSystem::new(MemConfig::strongarm(), 1);
-    m.set_inject(false);
-    let g = m.l1_geometry();
-    let line = g.line_size();
-    for w in 0..(line / 4) {
-        m.write_u32(w * 4, 0xC0DE_0000 | w).unwrap(); // set 0, dirty
-    }
-    for way in 0..g.assoc() as usize {
-        m.disable_way(0, way).unwrap();
-    }
-    let s = *m.stats();
-    assert!(
-        s.salvage_writebacks > 0,
-        "no dirty line was salvaged: {s:?}"
-    );
-    for w in 0..(line / 4) {
-        assert_eq!(
-            m.read_u32(w * 4).unwrap(),
-            0xC0DE_0000 | w,
-            "salvaged word {w} lost"
+    /// Sticky sites + strike recovery map at least one way out, and the
+    /// run completes regardless.
+    #[test]
+    fn repeated_strikes_escalate_to_a_disabled_way() {
+        let cfg = MemConfig::strongarm()
+            .with_detection(DetectionScheme::Parity)
+            .with_strikes(StrikePolicy::two_strike())
+            .with_persistent(PersistentSiteConfig::hard(0.01))
+            .with_way_disable(WayDisablePolicy::new(2, 50_000));
+        let mut m = MemSystem::new(cfg, 0xDEAD_5EED);
+        for i in 0..256u32 {
+            m.host_write_u32(i * 4, i).unwrap();
+        }
+        for i in 0..60_000u64 {
+            let _ = m.read_u32(((i % 256) * 4) as u32).unwrap();
+        }
+        let s = *m.stats();
+        assert!(
+            s.ways_disabled > 0,
+            "escalation never disabled a way: {s:?}"
         );
     }
-    assert!(
-        m.stats().bypass_accesses > 0,
-        "dead set never used the bypass"
-    );
 
-    // 3. Predictor: the smoke grid must stay under the recorded bound
-    //    (and the sweep must skip the unbuildable candidates).
-    let (rows, max_err) = predictor_grid(30_000, true);
-    clumsy_bench::print_table(
-        "smoke predictor grid",
-        &[
-            "geometry", "map", "d", "bypass", "pred", "actual", "err_c", "pe", "ae", "err_e",
-        ],
-        &rows,
-    );
-    assert!(!rows.is_empty(), "predictor grid produced no rows");
-    assert!(
-        max_err <= ERROR_BOUND,
-        "predictor error {:.1}% over the {:.0}% bound",
-        max_err * 100.0,
-        ERROR_BOUND * 100.0
-    );
-    println!(
-        "smoke ok: escalation disables, salvage survives the bypass, \
-         predictor error {:.1}% <= {:.0}%",
-        max_err * 100.0,
-        ERROR_BOUND * 100.0
-    );
+    /// Dirty data written into a set survives the whole set being
+    /// mapped out, and reads back through the L2 bypass.
+    #[test]
+    fn salvaged_dirty_data_reads_back_through_the_bypass() {
+        let mut m = MemSystem::new(MemConfig::strongarm(), 1);
+        m.set_inject(false);
+        let g = m.l1_geometry();
+        let line = g.line_size();
+        for w in 0..(line / 4) {
+            m.write_u32(w * 4, 0xC0DE_0000 | w).unwrap(); // set 0, dirty
+        }
+        for way in 0..g.assoc() as usize {
+            m.disable_way(0, way).unwrap();
+        }
+        let s = *m.stats();
+        assert!(
+            s.salvage_writebacks > 0,
+            "no dirty line was salvaged: {s:?}"
+        );
+        for w in 0..(line / 4) {
+            assert_eq!(
+                m.read_u32(w * 4).unwrap(),
+                0xC0DE_0000 | w,
+                "salvaged word {w} lost"
+            );
+        }
+        assert!(
+            m.stats().bypass_accesses > 0,
+            "dead set never used the bypass"
+        );
+    }
+
+    /// A small predictor grid stays under the recorded bound, degrades
+    /// monotonically, and skips the two unbuildable candidates.
+    #[test]
+    fn predictor_stays_in_bound_on_a_small_grid() {
+        let grid = predictor_grid(30_000);
+        assert!(!grid.rows.is_empty(), "predictor grid produced no rows");
+        assert_eq!(grid.skipped.len(), 2, "{:?}", grid.skipped);
+        assert!(grid.non_monotone.is_empty(), "{:?}", grid.non_monotone);
+        assert!(
+            grid.max_err <= ERROR_BOUND,
+            "predictor error {:.1}% over the {:.0}% bound",
+            grid.max_err * 100.0,
+            ERROR_BOUND * 100.0
+        );
+    }
 }

@@ -1,24 +1,31 @@
-//! Shared helpers for the reproduction harness: table printing, CSV
-//! output for every regenerated figure/table, and the process exit
-//! codes every harness binary agrees on.
+//! The reproduction harness: the [`EXPERIMENTS`] registry with one
+//! entry per regenerated table and figure, the rendering and the one
+//! CSV writer they share, and the process exit codes every harness
+//! binary agrees on. The `repro` binary runs the registry; `clumsy
+//! repro --experiment NAME` renders one entry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod experiments;
+
+pub use experiments::{find, Experiment, EXPERIMENTS};
+
+use clumsy_core::experiment::ExperimentOptions;
 use std::fs;
 use std::path::PathBuf;
 
 /// Exit status: everything completed.
 pub const EXIT_OK: i32 = 0;
 /// Exit status: the run finished but something failed — exhausted
-/// campaign jobs, a failed driver, or result-file I/O.
+/// campaign jobs, a failed acceptance check, or result-file I/O.
 pub const EXIT_FAILURES: i32 = 1;
 /// Exit status: the invocation itself was wrong — bad flags, an
 /// unknown command, or a journal that belongs to a different run
 /// configuration (a refused resume).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit status: interrupted (e.g. SIGINT/SIGTERM) with work left; the
-/// journal is resumable with `--resume`.
+/// journal of `clumsy campaign --durable` is resumable with `--resume`.
 pub const EXIT_INTERRUPTED: i32 = 3;
 
 /// Maps a journal error onto the shared exit codes: I/O trouble is a
@@ -121,18 +128,6 @@ fn root_dir() -> Result<PathBuf, IoFailure> {
     Ok(workspace_root(&cwd).unwrap_or(cwd))
 }
 
-/// Directory run journals live in (`results/journal/`), created on
-/// demand next to the CSVs so campaign state survives any cwd.
-///
-/// # Errors
-///
-/// [`IoFailure`] if the directory cannot be created.
-pub fn journal_dir() -> Result<PathBuf, IoFailure> {
-    let dir = results_dir()?.join("journal");
-    fs::create_dir_all(&dir).map_err(|e| IoFailure::new(dir.clone(), e))?;
-    Ok(dir)
-}
-
 /// Walks up from `start` to the workspace root: the first ancestor whose
 /// `Cargo.toml` contains a `[workspace]` table. A crate manifest alone
 /// does not qualify, so running from inside `crates/bench/` still lands
@@ -147,31 +142,6 @@ fn workspace_root(start: &std::path::Path) -> Option<PathBuf> {
             .any(|l| l.trim() == "[workspace]")
             .then(|| dir.to_path_buf())
     })
-}
-
-/// Writes a CSV file into [`results_dir`] atomically (temp file +
-/// fsync + rename, so a crash mid-write never leaves a truncated CSV),
-/// returning its path.
-///
-/// # Errors
-///
-/// [`IoFailure`] if the results directory or the file cannot be
-/// written.
-///
-/// # Panics
-///
-/// Panics if a row width mismatches the header (a programming error,
-/// not an I/O condition).
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> Result<PathBuf, IoFailure> {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "row width mismatch in {name}");
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    write_file(name, out.as_bytes())
 }
 
 /// Atomically writes an arbitrary result file into [`results_dir`],
@@ -200,93 +170,147 @@ pub fn write_file_in(
     Ok(path)
 }
 
-/// Pretty-prints a table to stdout.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// One regenerated table: the CSV it is recorded in, and what the
+/// harness prints around it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// File name under the results directory; one of the owning
+    /// entry's [`Experiment::csvs`].
+    pub csv: &'static str,
+    /// Printed heading.
+    pub title: String,
+    /// Column names (the CSV header).
+    pub header: &'static [&'static str],
+    /// Cells, one `Vec` per row, as wide as `header`.
+    pub rows: Vec<Vec<String>>,
+    /// Lines printed after the table: headline numbers, paper
+    /// comparisons, charts. Not written to the CSV.
+    pub notes: Vec<String>,
+}
+
+impl Table {
+    /// A table with no notes.
+    pub fn new(
+        csv: &'static str,
+        title: impl Into<String>,
+        header: &'static [&'static str],
+        rows: Vec<Vec<String>>,
+    ) -> Self {
+        Table {
+            csv,
+            title: title.into(),
+            header,
+            rows,
+            notes: Vec::new(),
         }
     }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!(
-        "{}",
-        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
+
+    /// Appends note lines.
+    #[must_use]
+    pub fn with_notes(mut self, notes: impl IntoIterator<Item = String>) -> Self {
+        self.notes.extend(notes);
+        self
+    }
+
+    /// The CSV bytes: the header line, then one line per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row width mismatches the header (a programming
+    /// error, not an I/O condition).
+    pub fn csv_text(&self) -> String {
+        let mut out = self.header.join(",");
+        out.push('\n');
+        for row in &self.rows {
+            assert_eq!(
+                row.len(),
+                self.header.len(),
+                "row width mismatch in {}",
+                self.csv
+            );
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The table as right-aligned columns under its title, followed by
+    /// its notes.
+    pub fn render(&self) -> String {
+        let header: Vec<String> = self.header.iter().map(|h| h.to_string()).collect();
+        let lines = std::iter::once(&header).chain(&self.rows);
+        let mut widths = vec![0; header.len()];
+        for row in lines.clone() {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let mut out = format!("\n== {} ==\n", self.title);
+        for row in lines {
+            let cells: Vec<String> = row
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            out += &cells.join("  ");
+            out.push('\n');
+        }
+        if !self.notes.is_empty() {
+            out.push('\n');
+        }
+        for note in &self.notes {
+            out += note;
+            out.push('\n');
+        }
+        out
     }
 }
 
-/// Renders a horizontal ASCII bar chart (one bar per labelled value),
-/// scaled to `width` characters at `max` (values beyond `max` are
-/// clipped and marked, like the paper's out-of-range bars).
-pub fn print_bars(title: &str, bars: &[(String, f64)], max: f64, width: usize) {
+/// The one CSV writer: atomically writes `table`, returning its path.
+/// `opts` are the options the entry was run with, before any per-entry
+/// override. The file goes into [`results_dir`] only when `opts` are
+/// the entry's [`Experiment::canonical_options`], and into
+/// [`reduced_dir`] at any other scale or seed, so a quick run can never
+/// overwrite a recorded result.
+///
+/// # Errors
+///
+/// [`IoFailure`] if the directory or the file cannot be written.
+pub fn write_table(
+    entry: &Experiment,
+    opts: &ExperimentOptions,
+    table: &Table,
+) -> Result<PathBuf, IoFailure> {
+    let dir = if *opts == entry.canonical_options() {
+        results_dir()?
+    } else {
+        reduced_dir()?
+    };
+    write_file_in(&dir, table.csv, table.csv_text().as_bytes())
+}
+
+/// A horizontal ASCII bar chart (one line per labelled value), scaled
+/// to `width` characters at `max` (values beyond `max` are clipped and
+/// marked, like the paper's out-of-range bars).
+///
+/// # Panics
+///
+/// Panics if `max` or `width` is not positive.
+pub fn bar_chart(title: &str, bars: &[(String, f64)], max: f64, width: usize) -> Vec<String> {
     assert!(max > 0.0, "bar scale must be positive");
     assert!(width > 0, "bar width must be positive");
-    println!("\n-- {title} (scale: {max:.2} = {width} chars) --");
     let label_w = bars.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+    let mut lines = vec![format!("-- {title} (scale: {max:.2} = {width} chars) --")];
     for (label, value) in bars {
         let clipped = value.min(max);
         let n = ((clipped / max) * width as f64).round() as usize;
         let marker = if *value > max { ">" } else { "" };
-        println!(
+        lines.push(format!(
             "{label:>label_w$} |{bar:<width$}| {value:.3}{marker}",
             bar = "#".repeat(n)
-        );
+        ));
     }
-}
-
-/// Shared driver for Figures 6 (route) and 7 (nat): per-structure error
-/// probabilities by fault plane and clock.
-///
-/// # Errors
-///
-/// [`IoFailure`] if the CSV cannot be written.
-pub fn run_plane_error_figure(kind: netbench::AppKind, csv: &str) -> Result<(), IoFailure> {
-    use clumsy_core::experiment::{plane_error_study, ExperimentOptions};
-
-    let opts = ExperimentOptions::from_env();
-    let cells = plane_error_study(kind, &opts);
-    let mut rows = Vec::new();
-    for cell in &cells {
-        for (cat, p) in &cell.categories {
-            rows.push(vec![
-                cell.plane.to_string(),
-                f(cell.cr),
-                cat.label().to_string(),
-                f(*p),
-            ]);
-        }
-        rows.push(vec![
-            cell.plane.to_string(),
-            f(cell.cr),
-            "fatal".to_string(),
-            f(cell.fatal),
-        ]);
-    }
-    let header = [
-        "faults_in_plane",
-        "relative_cycle_time",
-        "category",
-        "error_probability",
-    ];
-    print_table(
-        &format!("Error probability of the {kind} application (Figures 6/7)"),
-        &header,
-        &rows,
-    );
-    let path = write_csv(csv, &header, &rows)?;
-    println!("\nwrote {}", path.display());
-    Ok(())
+    lines
 }
 
 /// Formats a float with sensible precision for tables.
@@ -321,13 +345,16 @@ mod tests {
 
     #[test]
     fn bars_do_not_panic_and_clip() {
-        print_bars("unit", &[("a".into(), 0.5), ("b".into(), 3.0)], 2.0, 20);
+        let lines = bar_chart("unit", &[("a".into(), 0.5), ("b".into(), 3.0)], 2.0, 20);
+        assert_eq!(lines.len(), 3);
+        assert!(lines[1].ends_with("| 0.500"), "{}", lines[1]);
+        assert!(lines[2].contains(&"#".repeat(20)) && lines[2].ends_with('>'));
     }
 
     #[test]
     #[should_panic(expected = "scale")]
     fn bars_reject_zero_scale() {
-        print_bars("bad", &[], 0.0, 10);
+        bar_chart("bad", &[], 0.0, 10);
     }
 
     #[test]
@@ -420,24 +447,86 @@ mod tests {
         );
     }
 
+    /// A registry-shaped entry for writer tests; never run.
+    fn entry(seed: Option<u64>) -> Experiment {
+        Experiment {
+            name: "writer_test",
+            csvs: &["writer_test.csv"],
+            seed,
+            run: |_, _| Ok(Vec::new()),
+        }
+    }
+
+    fn table(csv: &'static str) -> Table {
+        Table::new(csv, "t", &["a", "b"], vec![vec!["1".into(), "2".into()]])
+    }
+
     #[test]
     fn csv_round_trip() {
         let _guard = env_lock();
-        std::env::set_var(
-            "CLUMSY_RESULTS",
-            std::env::temp_dir().join("clumsy-test-results"),
-        );
-        let p = write_csv(
-            "unit_test.csv",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
-        )
-        .expect("temp results dir is writable");
+        let dir = std::env::temp_dir().join("clumsy-test-results");
+        std::env::set_var("CLUMSY_RESULTS", &dir);
+        let e = entry(None);
+        let p = write_table(&e, &e.canonical_options(), &table("unit_test.csv"))
+            .expect("temp results dir is writable");
+        std::env::remove_var("CLUMSY_RESULTS");
+        assert_eq!(p, dir.join("unit_test.csv"));
         let text = std::fs::read_to_string(p).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
-        let j = journal_dir().expect("journal dir under results");
-        assert!(j.ends_with("journal") && j.is_dir());
-        std::env::remove_var("CLUMSY_RESULTS");
+    }
+
+    #[test]
+    fn reduced_scale_writes_never_reach_results() {
+        let _guard = env_lock();
+        let root = workspace_root(&std::env::current_dir().unwrap()).expect("inside the workspace");
+        let name = "reduced_scale_writer_test.csv";
+        let recorded = root.join("results").join(name);
+        let e = entry(Some(118));
+        let canonical = e.canonical_options();
+        assert_eq!(
+            canonical.seed, 118,
+            "the entry's seed is part of the canonical options"
+        );
+        let off_canonical = [
+            ExperimentOptions::quick(),
+            ExperimentOptions {
+                trials: 1,
+                ..canonical.clone()
+            },
+            ExperimentOptions {
+                seed: ExperimentOptions::paper().seed,
+                ..canonical.clone()
+            },
+            ExperimentOptions {
+                trace: canonical.trace.clone().with_packets(60),
+                ..canonical.clone()
+            },
+        ];
+        for opts in &off_canonical {
+            let path = write_table(&e, opts, &table(name)).expect("target/ is writable");
+            assert_eq!(path, root.join("target").join("reduced").join(name));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+            assert!(!recorded.exists(), "{opts:?} wrote into results/");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn render_aligns_columns_and_appends_notes() {
+        let t = Table::new(
+            "x.csv",
+            "Title",
+            &["app", "v"],
+            vec![
+                vec!["crc".into(), "10".into()],
+                vec!["md5".into(), "2".into()],
+            ],
+        )
+        .with_notes(["note".to_string()]);
+        assert_eq!(
+            t.render(),
+            "\n== Title ==\napp   v\ncrc  10\nmd5   2\n\nnote\n"
+        );
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl fmt::Display for CacheGeometry {
 ///
 /// One byte per word is reserved either way, so switching codes changes
 /// no array layout: the parity signature uses 4 of its bits, the SECDED
-/// code 7 (see [`crate::secded`]).
+/// code 7 (see [`crate::secded_encode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WordCode {
     /// Per-byte parity signature; bit `i` is the even parity of byte
@@ -852,8 +852,8 @@ impl DataCache {
     }
 
     /// Maps out way `way` of set `set`: the slot is invalidated and
-    /// never filled again ([`DataCache::lookup`] skips it; a set with
-    /// every way mapped out answers [`Lookup::Bypass`]). Idempotent.
+    /// never filled again (lookups skip it; a set with every way mapped
+    /// out answers every lookup with a bypass). Idempotent.
     ///
     /// Returns the slot's `(base_addr, data)` if it held a valid dirty
     /// line, so the caller can salvage the contents through its

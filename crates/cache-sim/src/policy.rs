@@ -61,8 +61,8 @@ impl fmt::Display for DetectionScheme {
 /// flipped *parity* bit either raises a false strike on clean data or
 /// cancels a genuine data fault, turning a detectable corruption into a
 /// silent one. The *l2* target makes the level-2 data array fallible at
-/// its own clock's voltage swing (see [`MemConfig::l2_cycle`]
-/// (crate::MemConfig)), so strike refetches and writebacks can return
+/// its own clock's voltage swing (see
+/// [`MemConfig::l2_cycle`](crate::MemConfig::l2_cycle)), so strike refetches and writebacks can return
 /// or deposit corrupted words — recovery itself can then fail.
 ///
 /// The default is data-only: the extra targets are opt-in so the

@@ -55,6 +55,14 @@ pub enum CliError {
         /// What is wrong with it.
         problem: String,
     },
+    /// `clumsy repro` ran an experiment that failed its acceptance
+    /// checks.
+    Experiment {
+        /// The registry name.
+        name: String,
+        /// The failed checks, one per line.
+        problem: String,
+    },
     /// A durable campaign was interrupted (SIGINT/SIGTERM) before all
     /// jobs ran; the journal makes it resumable. `main` prints the
     /// partial output and exits with status 3 rather than 2.
@@ -81,6 +89,12 @@ impl std::fmt::Display for CliError {
             CliError::Journal(e) => write!(f, "{e}"),
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Metrics { path, problem } => write!(f, "metrics file {path:?}: {problem}"),
+            CliError::Experiment { name, problem } => {
+                write!(
+                    f,
+                    "experiment {name} failed its acceptance checks:\n{problem}"
+                )
+            }
             CliError::Interrupted { partial, journal } => write!(
                 f,
                 "interrupted after {partial} jobs; rerun with --resume to finish ({journal})"
@@ -119,7 +133,7 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
 
 /// The `help` text.
 pub fn help_text() -> String {
-    "\
+    let mut text = "\
 clumsy — reliability-aware cache over-clocking simulator (MICRO-37 2004)
 
 USAGE:
@@ -136,7 +150,8 @@ COMMANDS:
     metrics  clumsy metrics <file> <key>...: print each key's value from a
              --metrics JSON file, one per line (exit 1 if the file lacks the
              schema marker or a key, 2 for a key the schema does not define)
-    repro    regenerate a paper experiment (table1 | fig8 | fig12b)
+    repro    render one experiment of the reproduction registry (the
+             `repro` binary runs them all and records their CSVs)
     trace    describe the synthetic packet trace
     model    print the fault-model operating points
     apps     list available applications
@@ -241,10 +256,23 @@ SERVE OPTIONS:
 
 TRACE OPTIONS: --packets, --seed
 MODEL OPTIONS: --beta <f> (default calibrated 0.20)
-REPRO OPTIONS: --experiment <table1|fig8|fig12b>, --packets, --trials, --seed,
+REPRO OPTIONS: --experiment <name> (default table1; names below), --packets,
+               --trials, --seed (default: the experiment's recording seed),
                --jobs <n> (parallel workers; default CLUMSY_JOBS or all cores)
+EXPERIMENTS:
 "
-    .to_string()
+    .to_string();
+    let mut line = String::from("   ");
+    for e in clumsy_bench::EXPERIMENTS {
+        if line.len() + e.name.len() > 78 {
+            text.push_str(&line);
+            text.push('\n');
+            line = String::from("   ");
+        }
+        line.push(' ');
+        line.push_str(e.name);
+    }
+    text + &line + "\n"
 }
 
 /// `clumsy metrics <file> <key>...`: each key's integer value from a
@@ -324,50 +352,29 @@ fn parse_engine(args: &Args) -> Result<clumsy_core::Engine, CliError> {
     }
 }
 
+/// `clumsy repro --experiment NAME`: runs one entry of the
+/// reproduction registry at the command line's scale and renders its
+/// tables. Writes no CSV (the `repro` binary records them).
 fn repro(args: &Args) -> Result<String, CliError> {
-    use clumsy_core::experiment::{edf_average_on, fatal_study_on, table1_on};
     args.expect_only(&["experiment", "packets", "trials", "seed", "jobs"])?;
-    let (trace, opts) = parse_trace(args)?;
-    let engine = parse_engine(args)?;
-    let which = args.get("experiment").unwrap_or("table1");
-    let mut out = String::new();
-    match which {
-        "table1" => {
-            for row in table1_on(&engine, &trace, &opts) {
-                out.push_str(&format!("{row}\n"));
-            }
-        }
-        "fig8" => {
-            out.push_str("fatal error probability (no detection):\n");
-            out.push_str(&format!(
-                "{:>6} {:>10} {:>10} {:>10} {:>10}\n",
-                "app", "Cr=1.00", "Cr=0.75", "Cr=0.50", "Cr=0.25"
-            ));
-            for r in fatal_study_on(&engine, &trace, &opts) {
-                out.push_str(&format!(
-                    "{:>6} {:>10.2e} {:>10.2e} {:>10.2e} {:>10.2e}\n",
-                    r.app, r.per_cr[0], r.per_cr[1], r.per_cr[2], r.per_cr[3]
-                ));
-            }
-        }
-        "fig12b" => {
-            out.push_str("average relative energy-delay^2-fallibility^2:\n");
-            for b in edf_average_on(&engine, &opts) {
-                out.push_str(&format!(
-                    "{:>13} {:>8} {:.3} (+/-{:.3})\n",
-                    b.scheme, b.freq, b.relative_edf, b.relative_edf_stddev
-                ));
-            }
-        }
-        other => {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: "experiment".into(),
-                value: other.into(),
-                expected: "table1 | fig8 | fig12b",
-            }))
-        }
+    let name = args.get("experiment").unwrap_or("table1");
+    let entry = clumsy_bench::find(name).ok_or_else(|| {
+        CliError::Args(ArgError::BadValue {
+            option: "experiment".into(),
+            value: name.into(),
+            expected: "an experiment name listed by `clumsy help`",
+        })
+    })?;
+    let mut opts = parse_options(args)?;
+    if let (None, Some(seed)) = (args.get("seed"), entry.seed) {
+        opts.seed = seed;
     }
-    Ok(out)
+    let engine = parse_engine(args)?;
+    let tables = (entry.run)(&engine, &opts).map_err(|problem| CliError::Experiment {
+        name: name.into(),
+        problem,
+    })?;
+    Ok(tables.iter().map(|t| t.render()).collect())
 }
 
 fn parse_app(args: &Args) -> Result<AppKind, CliError> {
@@ -488,16 +495,20 @@ fn parse_config(args: &Args) -> Result<ClumsyConfig, CliError> {
 }
 
 fn parse_trace(args: &Args) -> Result<(Trace, ExperimentOptions), CliError> {
+    let opts = parse_options(args)?;
+    Ok((opts.trace.generate(), opts))
+}
+
+/// `--packets`, `--trials` and `--seed` as experiment options.
+fn parse_options(args: &Args) -> Result<ExperimentOptions, CliError> {
     let packets: usize = args.get_parsed("packets", 2000, "a packet count")?;
     let trials: u32 = args.get_parsed("trials", 1, "a trial count")?;
     let seed: u64 = args.get_parsed("seed", 24301, "an integer seed")?;
-    let trace_cfg = TraceConfig::paper().with_packets(packets.max(1));
-    let opts = ExperimentOptions {
-        trace: trace_cfg.clone(),
+    Ok(ExperimentOptions {
+        trace: TraceConfig::paper().with_packets(packets.max(1)),
         trials: trials.max(1),
         seed,
-    };
-    Ok((trace_cfg.generate(), opts))
+    })
 }
 
 const RUN_OPTIONS: &[&str] = &[

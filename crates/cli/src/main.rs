@@ -39,9 +39,9 @@ fn main() {
             // distinguish "resume me" (3) from "you did it wrong" (2).
             let code = match &e {
                 commands::CliError::Interrupted { .. } => clumsy_bench::EXIT_INTERRUPTED,
-                commands::CliError::Io { .. } | commands::CliError::Metrics { .. } => {
-                    clumsy_bench::EXIT_FAILURES
-                }
+                commands::CliError::Io { .. }
+                | commands::CliError::Metrics { .. }
+                | commands::CliError::Experiment { .. } => clumsy_bench::EXIT_FAILURES,
                 commands::CliError::Journal(err) => clumsy_bench::journal_exit_code(err),
                 commands::CliError::Args(_)
                 | commands::CliError::UnknownCommand(_)

@@ -27,7 +27,7 @@
 
 use crate::engine::{golden_for, Engine};
 use crate::experiment::{Aggregate, ExperimentOptions, GridPoint};
-use crate::journal::{self, JournalError, JournalHeader, JournalWriter, Record, JOURNAL_VERSION};
+use crate::journal::{self, JournalError, JournalHeader, JournalWriter, JOURNAL_VERSION};
 use crate::processor::{ClumsyProcessor, GoldenData};
 use crate::report::RunReport;
 use crate::telemetry::{Counter, Telemetry};
@@ -821,10 +821,8 @@ pub fn run_campaign_durable(
         replayed.header.check(&header)?;
         skipped_records = replayed.skipped_records;
         for record in replayed.records {
-            if let Record::Job { job, report } = record {
-                if job < total_jobs {
-                    prefilled.insert(job, *report);
-                }
+            if record.job < total_jobs {
+                prefilled.insert(record.job, *record.report);
             }
         }
         JournalWriter::resume_with(

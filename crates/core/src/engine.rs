@@ -86,6 +86,11 @@ impl Engine {
         self.jobs
     }
 
+    /// The telemetry attached with [`Engine::with_telemetry`], if any.
+    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+        self.telemetry.as_ref()
+    }
+
     /// Maps `f` over `items` across the pool, preserving input order.
     ///
     /// Jobs are independent; `f` must not rely on any cross-item

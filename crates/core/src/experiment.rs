@@ -1,7 +1,8 @@
 //! Grid drivers that regenerate the paper's tables and figures (§5).
 //!
 //! Every public function here corresponds to one experiment of the
-//! paper's evaluation; the `clumsy-bench` binaries print their output.
+//! paper's evaluation; the `clumsy-bench` experiment registry renders
+//! and records their output.
 //! Figures aggregate several *trials* (identical trace, different fault
 //! seeds) because fault injection is stochastic.
 //!
@@ -22,7 +23,6 @@ use cache_sim::{DetectionScheme, StrikePolicy};
 use energy_model::EdfMetric;
 use netbench::{AppKind, ErrorCategory, PlaneMask, Trace, TraceConfig};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// Scaling knobs shared by all experiments.
@@ -260,21 +260,8 @@ pub fn run_grid_on(
         .collect()
 }
 
-/// [`run_grid_on`] with a freshly generated trace and an environment-
-/// sized engine.
-pub fn run_grid(points: &[GridPoint], opts: &ExperimentOptions) -> Vec<Aggregate> {
-    let trace = opts.trace.generate();
-    run_grid_on(&Engine::from_env(), points, &trace, opts)
-}
-
-/// Runs `trials` measured passes of `kind` under `cfg`, sharing one
-/// golden pass.
-pub fn run_config(kind: AppKind, cfg: &ClumsyConfig, opts: &ExperimentOptions) -> Aggregate {
-    let trace = opts.trace.generate();
-    run_config_on_trace(kind, cfg, &trace, opts)
-}
-
-/// Like [`run_config`] but on an already generated trace.
+/// Runs `trials` measured passes of `kind` under `cfg` on `trace`,
+/// sharing one golden pass, on an environment-sized engine.
 pub fn run_config_on_trace(
     kind: AppKind,
     cfg: &ClumsyConfig,
@@ -312,29 +299,8 @@ pub struct Table1Row {
     pub fallibility_quarter: f64,
 }
 
-impl fmt::Display for Table1Row {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>5}  {:>10} inst  {:>10} acc  {:>6.2}% miss  {:.3} @0.5  {:.3} @0.25",
-            self.app,
-            self.instructions,
-            self.cache_accesses,
-            self.miss_rate * 100.0,
-            self.fallibility_half,
-            self.fallibility_quarter
-        )
-    }
-}
-
 /// Regenerates Table I: workload characteristics and fallibility factors
 /// at `Cr` = 0.5 and 0.25.
-pub fn table1(opts: &ExperimentOptions) -> Vec<Table1Row> {
-    let trace = opts.trace.generate();
-    table1_on(&Engine::from_env(), &trace, opts)
-}
-
-/// [`table1`] on an explicit engine and trace.
 pub fn table1_on(engine: &Engine, trace: &Trace, opts: &ExperimentOptions) -> Vec<Table1Row> {
     let configs = [
         ClumsyConfig::baseline(),
@@ -384,12 +350,6 @@ pub struct PlaneErrorCell {
 /// Regenerates Figure 6 (route) or Figure 7 (nat): error probabilities
 /// per marked structure, with faults injected in the control plane, the
 /// data plane, or both, across the four static clocks.
-pub fn plane_error_study(kind: AppKind, opts: &ExperimentOptions) -> Vec<PlaneErrorCell> {
-    let trace = opts.trace.generate();
-    plane_error_study_on(&Engine::from_env(), kind, &trace, opts)
-}
-
-/// [`plane_error_study`] on an explicit engine and trace.
 pub fn plane_error_study_on(
     engine: &Engine,
     kind: AppKind,
@@ -459,12 +419,6 @@ pub struct FatalRow {
 
 /// Regenerates Figure 8: fatal error probability per application and
 /// clock, on the no-detection architecture.
-pub fn fatal_study(opts: &ExperimentOptions) -> Vec<FatalRow> {
-    let trace = opts.trace.generate();
-    fatal_study_on(&Engine::from_env(), &trace, opts)
-}
-
-/// [`fatal_study`] on an explicit engine and trace.
 pub fn fatal_study_on(engine: &Engine, trace: &Trace, opts: &ExperimentOptions) -> Vec<FatalRow> {
     let points: Vec<GridPoint> = AppKind::all()
         .iter()
@@ -559,21 +513,6 @@ fn edf_plan() -> Vec<(&'static str, String, ClumsyConfig)> {
     plan
 }
 
-/// Regenerates one panel of Figures 9–12: all recovery schemes × all
-/// clock plans for `kind`, normalized to the no-detection `Cr = 1` bar.
-pub fn edf_study(kind: AppKind, opts: &ExperimentOptions) -> Vec<EdfBar> {
-    let trace = opts.trace.generate();
-    edf_study_on_trace(kind, &trace, opts)
-}
-
-/// [`edf_study`] on a pre-generated trace (shared across apps for the
-/// average panel).
-pub fn edf_study_on_trace(kind: AppKind, trace: &Trace, opts: &ExperimentOptions) -> Vec<EdfBar> {
-    edf_panels_on(&Engine::from_env(), &[kind], trace, opts)
-        .pop()
-        .expect("one app in, one panel out")
-}
-
 /// Regenerates several apps' Figures 9–12 panels in one flattened grid:
 /// apps × 21 configurations × trials, all scheduled together so the
 /// engine stays saturated across panel boundaries.
@@ -633,12 +572,6 @@ pub fn average_panels(per_app: &[Vec<EdfBar>]) -> Vec<EdfBar> {
 
 /// Regenerates Figure 12(b): the across-application average of the
 /// relative EDF² bars.
-pub fn edf_average(opts: &ExperimentOptions) -> Vec<EdfBar> {
-    edf_average_on(&Engine::from_env(), opts)
-}
-
-/// [`edf_average`] on an explicit engine (the perf baseline uses this
-/// to pin the worker count).
 pub fn edf_average_on(engine: &Engine, opts: &ExperimentOptions) -> Vec<EdfBar> {
     let trace = opts.trace.generate();
     let per_app = edf_panels_on(engine, &AppKind::all(), &trace, opts);
@@ -653,9 +586,21 @@ mod tests {
         ExperimentOptions::quick()
     }
 
+    /// The quick options and their trace.
+    fn quick_trace() -> (ExperimentOptions, Trace) {
+        let opts = quick();
+        let trace = opts.trace.generate();
+        (opts, trace)
+    }
+
+    fn engine() -> Engine {
+        Engine::with_jobs(2)
+    }
+
     #[test]
     fn table1_has_all_apps_in_order() {
-        let rows = table1(&quick());
+        let (opts, trace) = quick_trace();
+        let rows = table1_on(&engine(), &trace, &opts);
         let names: Vec<&str> = rows.iter().map(|r| r.app).collect();
         assert_eq!(names, ["crc", "tl", "route", "drr", "nat", "md5", "url"]);
         for r in &rows {
@@ -670,7 +615,8 @@ mod tests {
     #[test]
     fn md5_and_url_are_the_heavy_apps() {
         // Table I: url and md5 simulate the most instructions.
-        let rows = table1(&quick());
+        let (opts, trace) = quick_trace();
+        let rows = table1_on(&engine(), &trace, &opts);
         let inst = |name: &str| {
             rows.iter()
                 .find(|r| r.app == name)
@@ -684,14 +630,16 @@ mod tests {
 
     #[test]
     fn plane_study_has_three_planes_by_four_clocks() {
-        let cells = plane_error_study(AppKind::Route, &quick());
+        let (opts, trace) = quick_trace();
+        let cells = plane_error_study_on(&engine(), AppKind::Route, &trace, &opts);
         assert_eq!(cells.len(), 12);
         assert!(cells.iter().all(|c| (0.0..=1.0).contains(&c.fatal)));
     }
 
     #[test]
     fn fatal_study_is_zero_at_full_speed() {
-        let rows = fatal_study(&quick());
+        let (opts, trace) = quick_trace();
+        let rows = fatal_study_on(&engine(), &trace, &opts);
         for r in &rows {
             assert_eq!(r.per_cr[0], 0.0, "{} must not die at Cr = 1", r.app);
         }
@@ -699,7 +647,10 @@ mod tests {
 
     #[test]
     fn edf_bars_have_expected_shape() {
-        let bars = edf_study(AppKind::Tl, &quick());
+        let (opts, trace) = quick_trace();
+        let bars = edf_panels_on(&engine(), &[AppKind::Tl], &trace, &opts)
+            .pop()
+            .unwrap();
         // 4 schemes x 5 plans.
         assert_eq!(bars.len(), 20);
         // The baseline bar is exactly 1.
@@ -781,8 +732,10 @@ mod tests {
             &opts,
         );
         assert_eq!(panels.len(), 2);
-        assert_eq!(panels[0], edf_study_on_trace(AppKind::Tl, &trace, &opts));
-        assert_eq!(panels[1], edf_study_on_trace(AppKind::Crc, &trace, &opts));
+        for (panel, kind) in panels.iter().zip([AppKind::Tl, AppKind::Crc]) {
+            let single = edf_panels_on(&Engine::with_jobs(1), &[kind], &trace, &opts);
+            assert_eq!(single, std::slice::from_ref(panel));
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! A journal is a line-delimited file (`results/journal/<run-id>.jsonl`)
 //! whose first line is a [`JournalHeader`] pinning the run's identity
 //! (seed, trials, trace fingerprint, grid hash) and whose remaining
-//! lines record one completed job each — either a full [`RunReport`]
-//! (campaigns) or a completion marker (process-level drivers like
-//! `repro_all`). Every line carries a CRC32 of its body:
+//! lines record one completed campaign job each, with its full
+//! [`RunReport`]. Every line carries a CRC32 of its body:
 //!
 //! ```text
 //! {"crc":<u32>,"body":{...}}\n
@@ -26,7 +25,7 @@
 //! floats are stored as IEEE-754 bit patterns, so a resumed campaign
 //! aggregates byte-identical reports and its CSVs match an
 //! uninterrupted run exactly. Because the CRC already guarantees the
-//! bytes are exactly what [`encode`] produced, decoding uses a rigid
+//! bytes are exactly what the encoder produced, decoding uses a rigid
 //! fixed-field-order scanner instead of a general JSON parser.
 
 use crate::report::{FatalInfo, RunReport};
@@ -194,12 +193,11 @@ pub struct JournalHeader {
     pub version: u32,
     /// Base fault seed of the run.
     pub seed: u64,
-    /// Trials per grid point (1 for marker journals).
+    /// Trials per grid point.
     pub trials: u32,
-    /// Workload scale: the trace fingerprint for campaigns, the packet
-    /// count for process-level drivers.
+    /// Workload scale: the trace fingerprint.
     pub scale: u64,
-    /// Number of grid points (or driver binaries) in the run.
+    /// Number of grid points in the run.
     pub points: u64,
     /// FNV-1a hash of the canonical grid description.
     pub grid: u64,
@@ -243,23 +241,14 @@ impl JournalHeader {
 // Records and the wire codec
 // ---------------------------------------------------------------------
 
-/// One replayed journal record.
+/// One replayed journal record: a completed campaign job.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// A completed campaign job with its full report (boxed: a
-    /// `RunReport` dwarfs a marker, and replay holds many records).
-    Job {
-        /// Flat (point × trial) job index.
-        job: usize,
-        /// The job's bitwise-exact report.
-        report: Box<RunReport>,
-    },
-    /// A completion marker for a named unit of work (e.g. one
-    /// `repro_all` driver binary).
-    Marker {
-        /// The completed unit's name.
-        name: String,
-    },
+pub struct Record {
+    /// Flat (point × trial) job index.
+    pub job: usize,
+    /// The job's bitwise-exact report (boxed: a `RunReport` dwarfs the
+    /// header, and replay holds many records).
+    pub report: Box<RunReport>,
 }
 
 fn frame(body: &str) -> Vec<u8> {
@@ -386,12 +375,6 @@ fn encode_job(job: usize, report: &RunReport) -> Vec<u8> {
         "{{\"kind\":\"job\",\"job\":{job},\"report\":{}}}",
         encode_report(report)
     ))
-}
-
-fn encode_marker(name: &str) -> Vec<u8> {
-    // Names are identifiers (binary names); anything needing escapes is
-    // rejected rather than encoded.
-    frame(&format!("{{\"kind\":\"mark\",\"name\":\"{name}\"}}"))
 }
 
 /// Rigid sequential scanner over a CRC-verified record body. The CRC
@@ -697,17 +680,12 @@ fn decode_line(line: &[u8]) -> Option<Line> {
         let report = decode_report(&mut sc)?;
         sc.lit("}")?;
         sc.done()?;
-        return Some(Line::Rec(Record::Job {
+        return Some(Line::Rec(Record {
             job,
             report: Box::new(report),
         }));
     }
-    let mut sc = Scanner::new(body);
-    sc.lit("{\"kind\":\"mark\",\"name\":")?;
-    let name = sc.string()?;
-    sc.lit("}")?;
-    sc.done()?;
-    Some(Line::Rec(Record::Marker { name }))
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -744,7 +722,6 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
     let mut header: Option<JournalHeader> = None;
     let mut records = Vec::new();
     let mut seen_jobs = std::collections::HashSet::new();
-    let mut seen_marks = std::collections::HashSet::new();
     let mut skipped_records = 0usize;
     let mut torn_tail = false;
     let mut valid_len = bytes.len() as u64;
@@ -771,16 +748,9 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
             continue;
         }
         match decoded {
-            Some(Line::Rec(Record::Job { job, report })) if complete => {
-                if seen_jobs.insert(job) {
-                    records.push(Record::Job { job, report });
-                } else {
-                    skipped_records += 1;
-                }
-            }
-            Some(Line::Rec(Record::Marker { name })) if complete => {
-                if seen_marks.insert(name.clone()) {
-                    records.push(Record::Marker { name });
+            Some(Line::Rec(record)) if complete => {
+                if seen_jobs.insert(record.job) {
+                    records.push(record);
                 } else {
                     skipped_records += 1;
                 }
@@ -933,15 +903,6 @@ impl JournalWriter {
         }
     }
 
-    /// Queues a completion marker. `name` must not contain `"` or `\`
-    /// (identifiers only); offending names are recorded stripped.
-    pub fn append_marker(&self, name: &str) {
-        let clean: String = name.chars().filter(|c| *c != '"' && *c != '\\').collect();
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(encode_marker(&clean));
-        }
-    }
-
     /// Flushes everything queued, fsyncs and joins the writer thread.
     ///
     /// # Errors
@@ -1079,17 +1040,16 @@ mod tests {
         let w = JournalWriter::create(&path, &header).unwrap();
         w.append_job(0, &sample_report(1));
         w.append_job(5, &sample_report(2));
-        w.append_marker("table1");
         w.finish().unwrap();
 
         let replay = replay(&path).unwrap();
         assert_eq!(replay.header, header);
-        assert_eq!(replay.records.len(), 3);
+        assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.skipped_records, 0);
         assert!(!replay.torn_tail);
-        assert!(matches!(&replay.records[0], Record::Job { job: 0, .. }));
-        assert!(matches!(&replay.records[1], Record::Job { job: 5, .. }));
-        assert!(matches!(&replay.records[2], Record::Marker { name } if name == "table1"));
+        assert_eq!(replay.records[0].job, 0);
+        assert_eq!(replay.records[1].job, 5);
+        assert!(bitwise_eq(&replay.records[1].report, &sample_report(2)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1148,10 +1108,7 @@ mod tests {
         let r = replay(&path).unwrap();
         assert_eq!(r.records.len(), 1, "first record wins");
         assert_eq!(r.skipped_records, 1);
-        let Record::Job { report, .. } = &r.records[0] else {
-            panic!("job expected");
-        };
-        assert_eq!(report.stats.faults_injected, 1);
+        assert_eq!(r.records[0].report.stats.faults_injected, 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,7 +6,7 @@
 //! they are packet processors serving live traffic at a sub-critical
 //! operating point, eating faults as they come. This module is the
 //! stream-granularity engine: an unbounded
-//! [`TrafficSource`](netbench::TrafficSource) feeds `N` shards through
+//! [`TrafficSource`] feeds `N` shards through
 //! bounded ingress queues, each shard owning its own golden + measured
 //! machine pair, dynamic controller and fault processes, selected by a
 //! flow hash so one flow always lands on one shard.

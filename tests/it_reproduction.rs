@@ -1,11 +1,12 @@
 //! Integration: the experiment drivers reproduce the paper's headline
 //! shapes end-to-end (scaled-down traces; the full-scale numbers are
-//! produced by the `clumsy-bench` binaries).
+//! produced by the `clumsy-bench` `repro` binary).
 
 use clumsy_core::experiment::{
-    edf_average, fatal_study, plane_error_study, table1, ExperimentOptions,
+    edf_average_on, fatal_study_on, plane_error_study_on, table1_on, ExperimentOptions,
 };
-use netbench::{AppKind, TraceConfig};
+use clumsy_core::Engine;
+use netbench::{AppKind, Trace, TraceConfig};
 
 fn opts() -> ExperimentOptions {
     ExperimentOptions {
@@ -15,9 +16,17 @@ fn opts() -> ExperimentOptions {
     }
 }
 
+fn trace() -> Trace {
+    opts().trace.generate()
+}
+
+fn engine() -> Engine {
+    Engine::with_jobs(2)
+}
+
 #[test]
 fn table_1_shape() {
-    let rows = table1(&opts());
+    let rows = table1_on(&engine(), &trace(), &opts());
     assert_eq!(rows.len(), 7);
     for r in &rows {
         // Fallibility grows (or stays flat) as the clock rises.
@@ -38,7 +47,7 @@ fn table_1_shape() {
 
 #[test]
 fn figure_8_shape_fatals_only_beyond_double_clock() {
-    let rows = fatal_study(&opts());
+    let rows = fatal_study_on(&engine(), &trace(), &opts());
     for r in &rows {
         assert_eq!(r.per_cr[0], 0.0, "{} at Cr=1", r.app);
         assert_eq!(r.per_cr[1], 0.0, "{} at Cr=0.75", r.app);
@@ -49,7 +58,7 @@ fn figure_8_shape_fatals_only_beyond_double_clock() {
 
 #[test]
 fn figure_6_shape_error_probabilities_grow_with_clock() {
-    let cells = plane_error_study(AppKind::Route, &opts());
+    let cells = plane_error_study_on(&engine(), AppKind::Route, &trace(), &opts());
     // For the "both planes" rows, total error probability at 0.25 must
     // be at least the one at 1.0.
     let total = |cr: f64| -> f64 {
@@ -70,13 +79,16 @@ fn figures_9_12_shape_headline_result() {
     // needs a fatal/runaway trial to land in the sample, and the
     // two-strike 0.5-vs-0.25 gap is ~1% at our calibration. This seed's
     // realization exhibits both shapes with a comfortable margin (the
-    // full-scale sweep is regenerated by the `fig9_12_edf` binary and
+    // full-scale sweep is regenerated by `repro fig9_12_edf` and
     // tracked in EXPERIMENTS.md). Re-pinned alongside the recorded
     // digests whenever the fault-arrival stream changes epoch.
-    let bars = edf_average(&ExperimentOptions {
-        seed: 119,
-        ..opts()
-    });
+    let bars = edf_average_on(
+        &engine(),
+        &ExperimentOptions {
+            seed: 119,
+            ..opts()
+        },
+    );
     let get = |scheme: &str, freq: &str| {
         bars.iter()
             .find(|b| b.scheme == scheme && b.freq == freq)
