@@ -163,7 +163,10 @@ fn main() {
         }
     }
 
-    let mut opts = ExperimentOptions::from_env();
+    let mut opts = ExperimentOptions::from_env().unwrap_or_else(|problem| {
+        eprintln!("error: {problem}");
+        std::process::exit(EXIT_USAGE);
+    });
     if smoke {
         // Fixed small scale so the CI gate costs seconds and its floor
         // means the same thing on every runner.

@@ -16,7 +16,8 @@
 //!
 //! Exits 1 when an entry fails its acceptance checks (its CSVs are not
 //! written), returns a table outside its declared `csvs`, or a write
-//! fails; 2 for an unknown flag or name.
+//! fails; 2 for an unknown flag or name, or a scale variable that does
+//! not parse.
 
 use clumsy_bench::{or_exit, write_table, Experiment, EXIT_FAILURES, EXIT_USAGE, EXPERIMENTS};
 use clumsy_core::{Engine, ProgressReporter, Stopwatch, Telemetry};
@@ -55,6 +56,14 @@ fn main() {
     if selected.is_empty() {
         selected = EXPERIMENTS.iter().collect();
     }
+    // A malformed scale variable decides both the scale and whether a
+    // run may overwrite `results/`, so it stops the run before any
+    // entry starts.
+    let runs: Vec<_> = selected
+        .into_iter()
+        .map(|entry| entry.options_from_env().map(|opts| (entry, opts)))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|problem| usage(&problem));
 
     let telemetry = (metrics.is_some() || progress).then(|| Arc::new(Telemetry::new()));
     let mut engine = Engine::from_env();
@@ -66,15 +75,14 @@ fn main() {
     });
     println!(
         "repro: {} experiment(s) on {} worker(s)",
-        selected.len(),
+        runs.len(),
         engine.jobs()
     );
 
     let mut failed = Vec::new();
     let mut times = Vec::new();
-    for entry in selected {
+    for (entry, opts) in runs {
         println!("\n########## {} ##########", entry.name);
-        let opts = entry.options_from_env();
         let span = Stopwatch::start();
         match (entry.run)(&engine, &opts) {
             Ok(tables) => {

@@ -43,11 +43,12 @@ impl Experiment {
 
     /// The options a run takes from `CLUMSY_PACKETS`, `CLUMSY_TRIALS`
     /// and `CLUMSY_SEED`, defaulting to [`Experiment::canonical_options`].
-    pub fn options_from_env(&self) -> ExperimentOptions {
-        match self.seed {
-            Some(seed) => ExperimentOptions::from_env_with_seed(seed),
-            None => ExperimentOptions::from_env(),
-        }
+    ///
+    /// # Errors
+    ///
+    /// A set variable whose value does not parse, named in the message.
+    pub fn options_from_env(&self) -> Result<ExperimentOptions, String> {
+        ExperimentOptions::from_env_with_seed(self.canonical_options().seed)
     }
 }
 

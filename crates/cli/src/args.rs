@@ -59,7 +59,6 @@ const FLAGS: &[&str] = &[
     "resume",
     "safe-mode",
     "progress",
-    "rebalance",
 ];
 
 impl Args {
@@ -78,7 +77,10 @@ impl Args {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(ArgError::Unknown(arg));
             };
-            if FLAGS.contains(&name) {
+            // An option is never another option's value: a valued
+            // option followed by `--...` is kept bare, so `expect_only`
+            // reports it as unknown or as missing its value.
+            if FLAGS.contains(&name) || it.peek().is_some_and(|next| next.starts_with("--")) {
                 flags.push(name.to_string());
                 continue;
             }
@@ -130,21 +132,21 @@ impl Args {
         }
     }
 
-    /// Rejects options outside `allowed` (flags are checked too).
+    /// Rejects options outside `allowed` (flags are checked too), and
+    /// a valued option given without its value.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::Unknown`] for the first unexpected option.
+    /// Returns [`ArgError::Unknown`] for the first unexpected option,
+    /// then [`ArgError::MissingValue`] for the first bare valued one.
     pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        for key in self.options.keys() {
+        for key in self.options.keys().chain(&self.flags) {
             if !allowed.contains(&key.as_str()) {
                 return Err(ArgError::Unknown(key.clone()));
             }
         }
-        for flag in &self.flags {
-            if !allowed.contains(&flag.as_str()) {
-                return Err(ArgError::Unknown(flag.clone()));
-            }
+        if let Some(bare) = self.flags.iter().find(|f| !FLAGS.contains(&f.as_str())) {
+            return Err(ArgError::MissingValue(bare.clone()));
         }
         Ok(())
     }
@@ -177,6 +179,21 @@ mod tests {
     fn dangling_option_is_an_error() {
         assert_eq!(
             parse(&["run", "--app"]),
+            Err(ArgError::MissingValue("app".into()))
+        );
+    }
+
+    #[test]
+    fn an_option_is_never_another_options_value() {
+        let a = parse(&["serve", "--rebalance", "--packets", "10"]).unwrap();
+        assert_eq!(a.get("packets"), Some("10"));
+        assert_eq!(
+            a.expect_only(&["packets"]),
+            Err(ArgError::Unknown("rebalance".into()))
+        );
+        let a = parse(&["run", "--app", "--json"]).unwrap();
+        assert_eq!(
+            a.expect_only(&["app", "json"]),
             Err(ArgError::MissingValue("app".into()))
         );
     }

@@ -6,13 +6,13 @@ use cache_sim::{
     DetectionScheme, FaultTargets, RecoveryGranularity, StrikePolicy, WayDisablePolicy,
 };
 use clumsy_core::campaign::grid_hash;
-use clumsy_core::experiment::{paper_schemes, run_config_on_trace, ExperimentOptions, GridPoint};
+use clumsy_core::experiment::{paper_schemes, run_grid_on, ExperimentOptions, GridPoint};
 use clumsy_core::telemetry::{metric_keys, parse_metrics, METRICS_SCHEMA};
 use clumsy_core::{
     interrupt, run_campaign_durable, run_campaign_instrumented, run_campaign_on, run_serve,
     CampaignConfig, ClumsyConfig, Counter, DurableOptions, DynamicConfig, FrequencyPlan,
-    JournalError, ProgressReporter, RebalanceConfig, SafeModeConfig, ServeConfig, ShedPolicy,
-    Stopwatch, Telemetry, PAPER_CYCLE_TIMES,
+    JournalError, ProgressReporter, SafeModeConfig, ServeConfig, Stopwatch, Telemetry,
+    TrialOutcome, PAPER_CYCLE_TIMES,
 };
 use energy_model::EdfMetric;
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig, VoltageSwingCurve};
@@ -217,22 +217,10 @@ SERVE OPTIONS:
     --flows <n>           synthetic flow population (default: paper trace)
     --shed-timeout-ms <n> how long a full queue exerts backpressure before
                           the packet is shed instead (default 100)
-    --shed-policy <p>     fixed | adaptive: adaptive scales the shed deadline
-                          by smoothed queue occupancy, so a persistently full
-                          queue sheds early instead of stacking the pump a
-                          full timeout deep (default fixed)
     --flow-queue-cap <n>  per-flow slots inside each ingress queue; enables
                           deficit-round-robin dequeue so an elephant flow is
                           shed at its cap instead of starving the mice (must
                           be below --queue-depth; default off)
-    --rebalance           divert flows making their first appearance away
-                          from persistently hot shards to the least-loaded
-                          one (needs --shards >= 2; per-flow ordering is
-                          preserved — only never-seen flows move)
-    --rebalance-window <n> consecutive hot observations before diversion
-                          starts (needs --rebalance; default 64)
-    --rebalance-highwater <f> occupancy fraction in (0,1] at which a shard
-                          counts as hot (needs --rebalance; default 0.875)
     --control-flows <n>   mark the n numerically lowest flow hashes as
                           control class: exempt from the flow cap, admitted
                           on a full queue by shedding the newest data-class
@@ -353,8 +341,9 @@ fn parse_engine(args: &Args) -> Result<clumsy_core::Engine, CliError> {
 }
 
 /// `clumsy repro --experiment NAME`: runs one entry of the
-/// reproduction registry at the command line's scale and renders its
-/// tables. Writes no CSV (the `repro` binary records them).
+/// reproduction registry at the options its CSVs are recorded at (or
+/// the command line's scale) and renders its tables. Writes no CSV
+/// (the `repro` binary records them).
 fn repro(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["experiment", "packets", "trials", "seed", "jobs"])?;
     let name = args.get("experiment").unwrap_or("table1");
@@ -365,10 +354,7 @@ fn repro(args: &Args) -> Result<String, CliError> {
             expected: "an experiment name listed by `clumsy help`",
         })
     })?;
-    let mut opts = parse_options(args)?;
-    if let (None, Some(seed)) = (args.get("seed"), entry.seed) {
-        opts.seed = seed;
-    }
+    let opts = parse_options(args, entry.canonical_options())?;
     let engine = parse_engine(args)?;
     let tables = (entry.run)(&engine, &opts).map_err(|problem| CliError::Experiment {
         name: name.into(),
@@ -494,18 +480,26 @@ fn parse_config(args: &Args) -> Result<ClumsyConfig, CliError> {
     Ok(cfg)
 }
 
+/// The trace and options of `run`, `sweep`, `campaign` and `trace`:
+/// the paper trace, one trial, seed 24301 unless the flags say
+/// otherwise.
 fn parse_trace(args: &Args) -> Result<(Trace, ExperimentOptions), CliError> {
-    let opts = parse_options(args)?;
+    let defaults = ExperimentOptions {
+        trace: TraceConfig::paper(),
+        trials: 1,
+        seed: 24301,
+    };
+    let opts = parse_options(args, defaults)?;
     Ok((opts.trace.generate(), opts))
 }
 
-/// `--packets`, `--trials` and `--seed` as experiment options.
-fn parse_options(args: &Args) -> Result<ExperimentOptions, CliError> {
-    let packets: usize = args.get_parsed("packets", 2000, "a packet count")?;
-    let trials: u32 = args.get_parsed("trials", 1, "a trial count")?;
-    let seed: u64 = args.get_parsed("seed", 24301, "an integer seed")?;
+/// `--packets`, `--trials` and `--seed` over `defaults`.
+fn parse_options(args: &Args, defaults: ExperimentOptions) -> Result<ExperimentOptions, CliError> {
+    let packets: usize = args.get_parsed("packets", defaults.trace.packets, "a packet count")?;
+    let trials: u32 = args.get_parsed("trials", defaults.trials, "a trial count")?;
+    let seed: u64 = args.get_parsed("seed", defaults.seed, "an integer seed")?;
     Ok(ExperimentOptions {
-        trace: TraceConfig::paper().with_packets(packets.max(1)),
+        trace: defaults.trace.with_packets(packets.max(1)),
         trials: trials.max(1),
         seed,
     })
@@ -604,20 +598,25 @@ fn run(args: &Args) -> Result<String, CliError> {
     let (trace, opts) = parse_trace(args)?;
     let telemetry = parse_telemetry(args);
     let span = telemetry.as_ref().map(|_| Stopwatch::start());
-    let agg = run_config_on_trace(kind, &cfg, &trace, &opts);
+    // The design point and its baseline share one grid.
+    let points = [
+        GridPoint::new(kind, cfg.clone()),
+        GridPoint::new(kind, ClumsyConfig::baseline()),
+    ];
+    let aggs = run_grid_on(&clumsy_core::Engine::from_env(), &points, &trace, &opts);
+    let (agg, baseline) = (&aggs[0], &aggs[1]);
     if let (Some(t), Some(span)) = (&telemetry, span) {
-        // `run` executes its trials serially in one call, so charge
-        // each trial the average wall time of the batch.
+        // The engine reports no per-job times here, so charge each of
+        // the design point's trials the average job time of the grid.
         let trials = agg.runs.len().max(1);
         t.count(0, Counter::jobs_total, trials as u64);
-        let per_trial = span.elapsed() / trials as u32;
+        let per_trial = span.elapsed() / (2 * trials) as u32;
         for (i, r) in agg.runs.iter().enumerate() {
             t.record_report(i, r);
             t.job_completed(i, per_trial);
         }
     }
     write_metrics(args, telemetry.as_ref())?;
-    let baseline = run_config_on_trace(kind, &ClumsyConfig::baseline(), &trace, &opts);
     let metric = EdfMetric::paper();
     let rel = agg.edf(&metric) / baseline.edf(&metric);
 
@@ -777,11 +776,7 @@ const SERVE_OPTIONS: &[&str] = &[
     "packets",
     "flows",
     "shed-timeout-ms",
-    "shed-policy",
     "flow-queue-cap",
-    "rebalance",
-    "rebalance-window",
-    "rebalance-highwater",
     "control-flows",
     "slo-p99-us",
     "pattern",
@@ -846,24 +841,11 @@ fn serve(args: &Args) -> Result<String, CliError> {
         };
     }
 
-    let shed_policy = match args.get("shed-policy").unwrap_or("fixed") {
-        "fixed" => ShedPolicy::Fixed,
-        "adaptive" => ShedPolicy::Adaptive,
-        v => {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: "shed-policy".into(),
-                value: v.into(),
-                expected: "fixed | adaptive",
-            }))
-        }
-    };
-
     let mut cfg = ServeConfig::new(kind, design)
         .with_shards(shards)
         .with_queue_depth(queue_depth)
         .with_packet_budget(budget)
         .with_shed_timeout(std::time::Duration::from_millis(shed_ms))
-        .with_shed_policy(shed_policy)
         .with_traffic(traffic);
     cfg.stats_interval = stats_interval.max(1);
     if let Some(v) = args.get("flow-queue-cap") {
@@ -883,55 +865,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
             });
         }
         cfg = cfg.with_flow_queue_cap(cap);
-    }
-    if args.flag("rebalance") {
-        if shards < 2 {
-            return Err(CliError::InertOption {
-                option: "rebalance".into(),
-                requires: "at least two shards (--shards 2) to divert flows between".into(),
-            });
-        }
-        let mut rb = RebalanceConfig::default();
-        if let Some(v) = args.get("rebalance-window") {
-            let window: u32 =
-                args.get_parsed("rebalance-window", 0u32, "a hot-observation window >= 1")?;
-            if window == 0 {
-                return Err(CliError::Args(ArgError::BadValue {
-                    option: "rebalance-window".into(),
-                    value: v.into(),
-                    expected: "a hot-observation window >= 1",
-                }));
-            }
-            rb.window = window;
-        }
-        if let Some(v) = args.get("rebalance-highwater") {
-            let expected = "an occupancy fraction in (0, 1]";
-            let frac: f64 = v.parse().map_err(|_| {
-                CliError::Args(ArgError::BadValue {
-                    option: "rebalance-highwater".into(),
-                    value: v.into(),
-                    expected,
-                })
-            })?;
-            if !(frac > 0.0 && frac <= 1.0) {
-                return Err(CliError::Args(ArgError::BadValue {
-                    option: "rebalance-highwater".into(),
-                    value: v.into(),
-                    expected,
-                }));
-            }
-            rb.highwater_frac = frac;
-        }
-        cfg = cfg.with_rebalance(rb);
-    } else {
-        for opt in ["rebalance-window", "rebalance-highwater"] {
-            if args.get(opt).is_some() {
-                return Err(CliError::InertOption {
-                    option: opt.into(),
-                    requires: "--rebalance to tune".into(),
-                });
-            }
-        }
     }
     if let Some(v) = args.get("control-flows") {
         let expected = "a control-flow count in 1..flows (strictly below the flow population)";
@@ -1259,9 +1192,14 @@ fn campaign(args: &Args) -> Result<String, CliError> {
         report.completed_jobs(),
         report.total_jobs
     );
+    // Outcome columns in `TrialOutcome::all()` order; the precisions
+    // abbreviate the labels that are wider than their columns.
+    let [masked, corrected, recovered, fatal, sdc, rec_fail] =
+        TrialOutcome::all().map(|o| o.short_label());
     out.push_str(&format!(
-        "{:>6} {:>13} {:>6} {:>7} {:>5} {:>7} {:>7} {:>5} {:>8} {:>9}\n",
-        "app", "scheme", "Cr", "masked", "corr", "recov", "fatal", "sdc", "rec_fail", "sdc_rate"
+        "{:>6} {:>13} {:>6} {masked:>7} {corrected:>5.4} {recovered:>7.5} {fatal:>7} {sdc:>5} \
+         {rec_fail:>8} {:>9}\n",
+        "app", "scheme", "Cr", "sdc_rate"
     ));
     for c in &cells {
         out.push_str(&format!(
@@ -1294,10 +1232,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["app", "packets", "trials", "seed", "json"])?;
     let kind = parse_app(args)?;
     let (trace, opts) = parse_trace(args)?;
-    let metric = EdfMetric::paper();
-    let baseline = run_config_on_trace(kind, &ClumsyConfig::baseline(), &trace, &opts);
-    let base = baseline.edf(&metric);
-
     let schemes: [(&str, DetectionScheme, StrikePolicy); 4] = [
         ("none", DetectionScheme::None, StrikePolicy::one_strike()),
         (
@@ -1316,17 +1250,27 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             StrikePolicy::three_strike(),
         ),
     ];
-    let mut cells = Vec::new();
+    // One grid: the baseline, then every scheme x clock cell.
+    let mut labels = Vec::new();
+    let mut points = vec![GridPoint::new(kind, ClumsyConfig::baseline())];
     for (label, det, strikes) in schemes {
         for cr in PAPER_CYCLE_TIMES {
+            labels.push((label, cr));
             let cfg = ClumsyConfig::baseline()
                 .with_detection(det)
                 .with_strikes(strikes)
                 .with_static_cycle(cr);
-            let rel = run_config_on_trace(kind, &cfg, &trace, &opts).edf(&metric) / base;
-            cells.push((label, cr, rel));
+            points.push(GridPoint::new(kind, cfg));
         }
     }
+    let aggs = run_grid_on(&clumsy_core::Engine::from_env(), &points, &trace, &opts);
+    let metric = EdfMetric::paper();
+    let base = aggs[0].edf(&metric);
+    let cells: Vec<(&str, f64, f64)> = labels
+        .into_iter()
+        .zip(&aggs[1..])
+        .map(|((label, cr), agg)| (label, cr, agg.edf(&metric) / base))
+        .collect();
 
     if args.flag("json") {
         let items = cells.iter().map(|(s, cr, rel)| {
@@ -1697,9 +1641,7 @@ mod tests {
             "--shards <n>",
             "--queue-depth <n>",
             "--shed-timeout-ms <n>",
-            "--shed-policy <p>",
             "--flow-queue-cap <n>",
-            "--rebalance",
             "--pattern <m>",
             "--inject-panic <id>",
             "--metrics-interval <s>",
@@ -1718,7 +1660,6 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_overload_values() {
-        assert!(dispatch_line(&["serve", "--shed-policy", "psychic"]).is_err());
         assert!(dispatch_line(&["serve", "--pattern", "bursty"]).is_err());
         assert!(dispatch_line(&["serve", "--flow-queue-cap", "0"]).is_err());
     }
@@ -1739,16 +1680,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_with_one_shard_is_a_typed_error() {
-        let err = dispatch_line(&["serve", "--shards", "1", "--rebalance"]).unwrap_err();
-        assert!(
-            matches!(err, CliError::InertOption { .. }),
-            "expected InertOption, got {err:?}"
-        );
-        assert!(format!("{err}").contains("two shards"), "{err}");
-    }
-
-    #[test]
     fn serve_accepts_the_overload_surface() {
         let out = dispatch_line(&[
             "serve",
@@ -1762,9 +1693,6 @@ mod tests {
             "32",
             "--flow-queue-cap",
             "8",
-            "--shed-policy",
-            "adaptive",
-            "--rebalance",
             "--pattern",
             "elephant",
         ])
@@ -1787,24 +1715,27 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_tuning_without_rebalance_is_a_typed_error() {
-        for opt in ["--rebalance-window", "--rebalance-highwater"] {
-            let err = dispatch_line(&["serve", "--shards", "2", opt, "1"]).unwrap_err();
+    fn serve_rejects_the_removed_admission_flags() {
+        // Serve has no adaptive shed deadline and no flow rebalancer:
+        // their old flags are unknown options wherever they sit.
+        for removed in [
+            &["--shed-policy", "adaptive"][..],
+            &["--rebalance"],
+            &["--rebalance-window", "8"],
+            &["--rebalance-highwater", "0.75"],
+        ] {
+            let line = [
+                &["serve", "--shards", "2"][..],
+                removed,
+                &["--packets", "10"],
+            ]
+            .concat();
+            let err = dispatch_line(&line).unwrap_err();
             assert!(
-                matches!(err, CliError::InertOption { .. }),
-                "{opt}: expected InertOption, got {err:?}"
+                matches!(&err, CliError::Args(ArgError::Unknown(o)) if removed[0] == format!("--{o}")),
+                "{removed:?}: {err:?}"
             );
-            assert!(format!("{err}").contains("--rebalance"), "{err}");
         }
-    }
-
-    #[test]
-    fn serve_rejects_bad_rebalance_tuning_values() {
-        let base = &["serve", "--shards", "2", "--rebalance"][..];
-        assert!(dispatch_line(&[base, &["--rebalance-window", "0"][..]].concat()).is_err());
-        assert!(dispatch_line(&[base, &["--rebalance-highwater", "0"][..]].concat()).is_err());
-        assert!(dispatch_line(&[base, &["--rebalance-highwater", "1.5"][..]].concat()).is_err());
-        assert!(dispatch_line(&[base, &["--rebalance-highwater", "hot"][..]].concat()).is_err());
     }
 
     #[test]
@@ -1829,11 +1760,6 @@ mod tests {
             "4",
             "--slo-p99-us",
             "1",
-            "--rebalance",
-            "--rebalance-window",
-            "8",
-            "--rebalance-highwater",
-            "0.75",
         ])
         .unwrap();
         assert!(out.contains("accounting ok"), "{out}");
@@ -1845,12 +1771,7 @@ mod tests {
     #[test]
     fn help_pins_the_class_flags() {
         let h = help_text();
-        for needle in [
-            "--control-flows <n>",
-            "--slo-p99-us <n>",
-            "--rebalance-window <n>",
-            "--rebalance-highwater <f>",
-        ] {
+        for needle in ["--control-flows <n>", "--slo-p99-us <n>"] {
             assert!(h.contains(needle), "help lost {needle:?}");
         }
     }
@@ -1893,6 +1814,25 @@ mod tests {
     }
 
     #[test]
+    fn repro_defaults_to_the_recorded_options() {
+        let parsed = |line: &[&str]| {
+            let args = Args::parse(line.iter().map(|s| s.to_string())).unwrap();
+            let entry = clumsy_bench::find(args.get("experiment").unwrap()).unwrap();
+            (
+                parse_options(&args, entry.canonical_options()).unwrap(),
+                entry,
+            )
+        };
+        for name in ["table1", "fig9_12_edf"] {
+            let (opts, entry) = parsed(&["repro", "--experiment", name]);
+            assert_eq!(opts, entry.canonical_options(), "{name}");
+            let (small, _) = parsed(&["repro", "--experiment", name, "--trials", "1"]);
+            assert_eq!(small.trials, 1, "{name}");
+            assert_eq!((small.trace, small.seed), (opts.trace, opts.seed), "{name}");
+        }
+    }
+
+    #[test]
     fn repro_rejects_unknown_experiment() {
         assert!(dispatch_line(&["repro", "--experiment", "fig99"]).is_err());
     }
@@ -1923,11 +1863,17 @@ mod tests {
             "1",
         ])
         .unwrap();
-        for col in [
-            "masked", "corr", "recov", "fatal", "sdc", "rec_fail", "sdc_rate",
-        ] {
-            assert!(out.contains(col), "missing column {col}:\n{out}");
+        // The header abbreviates each outcome's short label, in
+        // `TrialOutcome::all()` order.
+        let header: Vec<&str> = out.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(header.len(), 10, "{out}");
+        for (outcome, col) in TrialOutcome::all().iter().zip(&header[3..9]) {
+            assert!(
+                outcome.short_label().starts_with(col),
+                "column {col} is not {outcome}:\n{out}"
+            );
         }
+        assert_eq!(header[9], "sdc_rate", "{out}");
         // 4 schemes x 4 clocks for one app.
         assert_eq!(out.lines().filter(|l| l.contains("crc")).count(), 16);
         assert!(out.contains("failures: none"));

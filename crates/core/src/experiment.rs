@@ -58,35 +58,56 @@ impl ExperimentOptions {
     /// Reads `CLUMSY_PACKETS`, `CLUMSY_TRIALS` and `CLUMSY_SEED` from
     /// the environment to scale the default options (used by the repro
     /// binaries).
-    pub fn from_env() -> Self {
-        let mut opts = ExperimentOptions::paper();
-        if let Ok(p) = std::env::var("CLUMSY_PACKETS") {
-            if let Ok(p) = p.parse::<usize>() {
-                opts.trace.packets = p.max(1);
-            }
-        }
-        if let Ok(t) = std::env::var("CLUMSY_TRIALS") {
-            if let Ok(t) = t.parse::<u32>() {
-                opts.trials = t.max(1);
-            }
-        }
-        if let Ok(s) = std::env::var("CLUMSY_SEED") {
-            if let Ok(s) = s.parse::<u64>() {
-                opts.seed = s;
-            }
-        }
-        opts
+    ///
+    /// # Errors
+    ///
+    /// A set variable whose value does not parse, named in the message.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_env_with_seed(Self::paper().seed)
     }
 
     /// `from_env`, except that when `CLUMSY_SEED` is not set the fault
     /// seed defaults to `seed` instead of the global default. Used by
     /// binaries whose figure is recorded at its own fixed seed.
-    pub fn from_env_with_seed(seed: u64) -> Self {
-        let mut opts = ExperimentOptions::from_env();
-        if std::env::var("CLUMSY_SEED").is_err() {
-            opts.seed = seed;
+    ///
+    /// # Errors
+    ///
+    /// As [`ExperimentOptions::from_env`].
+    pub fn from_env_with_seed(seed: u64) -> Result<Self, String> {
+        Self::from_vars(seed, |name| {
+            std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+        })
+    }
+
+    /// Paper options at `seed`, scaled by the `CLUMSY_PACKETS`,
+    /// `CLUMSY_TRIALS` and `CLUMSY_SEED` values that `var` returns.
+    fn from_vars(seed: u64, var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn parsed<T: std::str::FromStr>(
+            var: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            expected: &str,
+        ) -> Result<Option<T>, String> {
+            var(name)
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("{name}={v:?}: expected {expected}"))
+                })
+                .transpose()
         }
-        opts
+        let mut opts = ExperimentOptions {
+            seed,
+            ..ExperimentOptions::paper()
+        };
+        if let Some(p) = parsed::<usize>(&var, "CLUMSY_PACKETS", "a packet count")? {
+            opts.trace.packets = p.max(1);
+        }
+        if let Some(t) = parsed::<u32>(&var, "CLUMSY_TRIALS", "a trial count")? {
+            opts.trials = t.max(1);
+        }
+        if let Some(s) = parsed::<u64>(&var, "CLUMSY_SEED", "an integer seed")? {
+            opts.seed = s;
+        }
+        Ok(opts)
     }
 }
 
@@ -258,24 +279,6 @@ pub fn run_grid_on(
                 .collect(),
         })
         .collect()
-}
-
-/// Runs `trials` measured passes of `kind` under `cfg` on `trace`,
-/// sharing one golden pass, on an environment-sized engine.
-pub fn run_config_on_trace(
-    kind: AppKind,
-    cfg: &ClumsyConfig,
-    trace: &Trace,
-    opts: &ExperimentOptions,
-) -> Aggregate {
-    run_grid_on(
-        &Engine::from_env(),
-        &[GridPoint::new(kind, cfg.clone())],
-        trace,
-        opts,
-    )
-    .pop()
-    .expect("one point in, one aggregate out")
 }
 
 // ---------------------------------------------------------------------
@@ -666,7 +669,12 @@ mod tests {
     fn stddev_is_zero_for_single_trial_and_positive_for_spread() {
         let opts = quick();
         let trace = opts.trace.generate();
-        let one = run_config_on_trace(AppKind::Tl, &ClumsyConfig::baseline(), &trace, &opts);
+        let one = &run_grid_on(
+            &engine(),
+            &[GridPoint::new(AppKind::Tl, ClumsyConfig::baseline())],
+            &trace,
+            &opts,
+        )[0];
         assert_eq!(one.edf_stddev(&EdfMetric::paper()), 0.0);
 
         let three = ExperimentOptions {
@@ -676,7 +684,12 @@ mod tests {
         let cfg = ClumsyConfig::baseline()
             .with_fault_model(fault_model::FaultProbabilityModel::new(1e-5, 0.2))
             .with_static_cycle(0.25);
-        let agg = run_config_on_trace(AppKind::Crc, &cfg, &trace, &three);
+        let agg = &run_grid_on(
+            &engine(),
+            &[GridPoint::new(AppKind::Crc, cfg)],
+            &trace,
+            &three,
+        )[0];
         assert!(agg.edf_stddev(&EdfMetric::paper()) > 0.0);
         assert!(agg.fallibility_stddev() >= 0.0);
     }
@@ -684,9 +697,38 @@ mod tests {
     #[test]
     fn options_from_env_fall_back_to_paper() {
         // (Env vars are not set in the test environment.)
-        let o = ExperimentOptions::from_env();
+        let o = ExperimentOptions::from_env().expect("no scale variable is set");
         assert!(o.trace.packets > 0);
         assert!(o.trials > 0);
+    }
+
+    /// A variable lookup over `set`, leaving the process environment
+    /// alone.
+    fn lookup<'a>(set: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            set.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn scale_variables_parse_or_name_themselves() {
+        assert_eq!(
+            ExperimentOptions::from_vars(7, lookup(&[])).unwrap().seed,
+            7
+        );
+        let set = [
+            ("CLUMSY_PACKETS", "60"),
+            ("CLUMSY_TRIALS", "0"),
+            ("CLUMSY_SEED", "9"),
+        ];
+        let o = ExperimentOptions::from_vars(7, lookup(&set)).unwrap();
+        assert_eq!((o.trace.packets, o.trials, o.seed), (60, 1, 9));
+        for name in ["CLUMSY_PACKETS", "CLUMSY_TRIALS", "CLUMSY_SEED"] {
+            let err = ExperimentOptions::from_vars(7, lookup(&[(name, "2k")])).unwrap_err();
+            assert!(err.contains(name) && err.contains("2k"), "{err}");
+        }
     }
 
     /// The acceptance guarantee of the engine rewrite: for a fixed seed

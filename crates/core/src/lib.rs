@@ -68,8 +68,8 @@ pub use journal::{atomic_write, JournalError, JournalHeader, JournalWriter};
 pub use processor::{ClumsyProcessor, GoldenData};
 pub use report::{FatalInfo, RunReport};
 pub use serve::{
-    flow_shard, run_serve, ClassReport, FlowDirector, FlowTraffic, IngressQueue, OverloadReport,
-    PushOutcome, RebalanceConfig, RouteKind, ServeConfig, ServeReport, ShardReport, ShedPolicy,
+    flow_shard, run_serve, ClassReport, FlowTraffic, IngressQueue, OverloadReport, PushOutcome,
+    ServeConfig, ServeReport, ShardReport,
 };
 pub use taxonomy::{OutcomeCounts, TrialOutcome};
 pub use telemetry::{

@@ -5,7 +5,8 @@ use crate::controller::{Decision, DynamicController};
 use crate::report::{FatalInfo, RunReport};
 use cache_sim::DetectionScheme;
 use netbench::{
-    diff_observations, AppError, AppKind, Machine, Observation, Packet, PacketApp, Trace,
+    diff_observations, AppError, AppKind, Machine, Observation, Packet, PacketApp, PacketView,
+    Plane, Trace,
 };
 use std::collections::BTreeMap;
 
@@ -60,6 +61,138 @@ impl GoldenPass {
         self.app
             .process_into(&mut self.machine, view, &mut self.obs)?;
         Ok(&self.obs)
+    }
+}
+
+/// The measured side of differential execution: one app on a machine
+/// at a design point, with its fault planes, clock plan and dynamic
+/// controller. The batch runner steps it over a whole trace
+/// ([`ClumsyProcessor::run_with_golden`]); a serve shard steps it in
+/// lock step with its [`GoldenPass`].
+pub(crate) struct MeasuredPass {
+    machine: Machine,
+    app: Box<dyn PacketApp>,
+    fuel: u64,
+    /// The last packet's observations, reused across steps.
+    obs: Vec<Observation>,
+    controller: Option<DynamicController>,
+    detection: DetectionScheme,
+    /// The controller's fault counter at its last step.
+    faults_seen: u64,
+}
+
+impl MeasuredPass {
+    /// A machine at `cfg` drawing faults from `seed`, running `kind`
+    /// over `context`, clocked at the plan's starting cycle time. The
+    /// control plane has not run yet ([`MeasuredPass::setup`]).
+    pub(crate) fn new(cfg: &ClumsyConfig, kind: AppKind, context: &Trace, seed: u64) -> Self {
+        let mut machine = Machine::with_config(cfg.mem.clone(), seed);
+        machine.set_fault_planes(cfg.planes);
+        let app = kind.instantiate(context);
+        let fuel = cfg.fuel_per_packet.unwrap_or(app.fuel_per_packet());
+        let controller = match &cfg.frequency {
+            FrequencyPlan::Static(cr) => {
+                machine.set_cycle_free(*cr);
+                None
+            }
+            FrequencyPlan::Dynamic(d) => {
+                let ctl = DynamicController::new(d.clone());
+                machine.set_cycle_free(ctl.cycle_time());
+                Some(ctl)
+            }
+        };
+        MeasuredPass {
+            machine,
+            app,
+            fuel,
+            obs: Vec::new(),
+            controller,
+            detection: cfg.mem.detection,
+            faults_seen: 0,
+        }
+    }
+
+    /// Runs the control plane and returns its initialization
+    /// observations. On success the tables are drained to L2, so strike
+    /// recovery has a correct copy to restore (write-buffer drain, no
+    /// stall), and the machine switches to the data plane.
+    ///
+    /// # Errors
+    ///
+    /// A control-plane fatal; the machine is left as the fatal found it.
+    pub(crate) fn setup(&mut self) -> Result<Vec<Observation>, AppError> {
+        self.machine.set_plane(Plane::Control);
+        self.machine.set_fuel(self.app.setup_fuel());
+        let init_obs = self.app.setup(&mut self.machine)?;
+        self.machine.writeback_all();
+        self.machine.set_plane(Plane::Data);
+        self.faults_seen = Self::fault_count(&self.machine, self.detection);
+        Ok(init_obs)
+    }
+
+    /// Receives one packet into the machine's DMA ring.
+    ///
+    /// # Errors
+    ///
+    /// A packet too large for the ring, or a write the memory rejects.
+    pub(crate) fn receive(&mut self, pkt: &Packet) -> Result<PacketView, AppError> {
+        self.machine.dma_packet(pkt)
+    }
+
+    /// Processes a received packet on a fresh fuel budget, returning
+    /// its observations from a buffer the pass reuses (valid until the
+    /// next step).
+    ///
+    /// # Errors
+    ///
+    /// A fatal error: an exhausted fuel budget or a corrupted address.
+    pub(crate) fn process(&mut self, view: PacketView) -> Result<&[Observation], AppError> {
+        self.machine.set_fuel(self.fuel);
+        self.app
+            .process_into(&mut self.machine, view, &mut self.obs)?;
+        Ok(&self.obs)
+    }
+
+    /// Feeds the dynamic controller the faults observed since its last
+    /// step and applies a frequency switch. Returns that fault delta and
+    /// the controller's decision when an epoch ended; `(0, None)` under
+    /// a static plan.
+    pub(crate) fn control_step(&mut self) -> (u64, Option<Decision>) {
+        let Some(ctl) = self.controller.as_mut() else {
+            return (0, None);
+        };
+        let now = Self::fault_count(&self.machine, self.detection);
+        let delta = now - self.faults_seen;
+        self.faults_seen = now;
+        let decision = ctl.on_packet(delta);
+        if let Some(Decision::Switch(cr)) = decision {
+            self.machine.set_cycle(cr);
+        }
+        (delta, decision)
+    }
+
+    /// The measured machine.
+    pub(crate) fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The dynamic controller, under a dynamic plan.
+    pub(crate) fn controller(&self) -> Option<&DynamicController> {
+        self.controller.as_ref()
+    }
+
+    /// The fault counter the controller observes: parity detections
+    /// plus ECC in-place corrections when detection hardware exists (the
+    /// syndrome logic sees a correction just as it sees a detection),
+    /// otherwise the injected count (an oracle stand-in; the paper is
+    /// silent on the no-detection case).
+    fn fault_count(machine: &Machine, detection: DetectionScheme) -> u64 {
+        let stats = machine.stats();
+        if detection.is_enabled() {
+            stats.faults_detected + stats.faults_corrected
+        } else {
+            stats.faults_injected
+        }
     }
 }
 
@@ -180,24 +313,8 @@ impl ClumsyProcessor {
             trace.packets.len(),
             "golden data does not match the trace"
         );
-        let mut machine = Machine::with_config(self.cfg.mem.clone(), self.cfg.seed);
-        machine.set_fault_planes(self.cfg.planes);
-        let mut app = kind.instantiate(trace);
-        let fuel = self.cfg.fuel_per_packet.unwrap_or(app.fuel_per_packet());
-
-        // Configure the clock plan.
-        let mut controller = match &self.cfg.frequency {
-            FrequencyPlan::Static(cr) => {
-                machine.set_cycle_free(*cr);
-                None
-            }
-            FrequencyPlan::Dynamic(d) => {
-                let ctl = DynamicController::new(d.clone());
-                machine.set_cycle_free(ctl.cycle_time());
-                Some(ctl)
-            }
-        };
-        let mut freq_trace = vec![(0usize, machine.cycle_time())];
+        let mut measured = MeasuredPass::new(&self.cfg, kind, trace, self.cfg.seed);
+        let mut freq_trace = vec![(0usize, measured.machine().cycle_time())];
 
         let mut report = RunReport {
             app: kind.name(),
@@ -218,9 +335,7 @@ impl ClumsyProcessor {
         };
 
         // Control plane.
-        machine.set_plane(netbench::Plane::Control);
-        machine.set_fuel(app.setup_fuel());
-        match app.setup(&mut machine) {
+        match measured.setup() {
             Ok(init_obs) => {
                 let diff = diff_observations(&golden.init_obs, &init_obs);
                 // Count wrong samples pairwise for a finer probability.
@@ -237,24 +352,15 @@ impl ClumsyProcessor {
                     packet_index: 0,
                     error: e,
                 });
-                Self::finalize(&self.cfg, &mut report, &machine, freq_trace);
+                Self::finalize(&self.cfg, &mut report, measured.machine(), freq_trace);
                 return report;
             }
         }
 
-        // Tables are stable now: drain them to L2 so strike recovery
-        // has a correct copy to restore (write-buffer drain, no stall).
-        machine.writeback_all();
-
         // Data plane.
-        machine.set_plane(netbench::Plane::Data);
-        let detection = self.cfg.mem.detection;
-        let mut faults_seen = Self::fault_count(&machine, detection);
         let mut epoch_acc = 0u64;
-        // One observation buffer for the whole trial.
-        let mut obs = Vec::new();
         for (idx, pkt) in trace.packets.iter().enumerate() {
-            let view = match machine.dma_packet(pkt) {
+            let view = match measured.receive(pkt) {
                 Ok(v) => v,
                 Err(e) => {
                     report.fatal = Some(FatalInfo {
@@ -264,11 +370,10 @@ impl ClumsyProcessor {
                     break;
                 }
             };
-            machine.set_fuel(fuel);
-            match app.process_into(&mut machine, view, &mut obs) {
-                Ok(()) => {
+            match measured.process(view) {
+                Ok(obs) => {
                     report.packets_completed += 1;
-                    let diff = diff_observations(golden.packet(idx), &obs);
+                    let diff = diff_observations(golden.packet(idx), obs);
                     if diff.has_error() {
                         report.erroneous_packets += 1;
                         for cat in diff.erroneous {
@@ -291,40 +396,19 @@ impl ClumsyProcessor {
                 }
             }
             // Dynamic adaptation on the observed fault counter.
-            if let Some(ctl) = controller.as_mut() {
-                let now = Self::fault_count(&machine, detection);
-                let delta = now - faults_seen;
-                faults_seen = now;
-                epoch_acc += delta;
-                match ctl.on_packet(delta) {
-                    None => {}
-                    Some(decision) => {
-                        report.epoch_faults.push(epoch_acc);
-                        epoch_acc = 0;
-                        if let Decision::Switch(cr) = decision {
-                            machine.set_cycle(cr);
-                            freq_trace.push((idx + 1, cr));
-                        }
-                    }
+            let (delta, decision) = measured.control_step();
+            epoch_acc += delta;
+            if let Some(decision) = decision {
+                report.epoch_faults.push(epoch_acc);
+                epoch_acc = 0;
+                if let Decision::Switch(cr) = decision {
+                    freq_trace.push((idx + 1, cr));
                 }
             }
         }
 
-        Self::finalize(&self.cfg, &mut report, &machine, freq_trace);
+        Self::finalize(&self.cfg, &mut report, measured.machine(), freq_trace);
         report
-    }
-
-    /// The fault counter the controller observes: parity detections plus
-    /// ECC in-place corrections when detection hardware exists (the
-    /// syndrome logic sees a correction just as it sees a detection),
-    /// otherwise the injected count (an oracle stand-in; the paper is
-    /// silent on the no-detection case).
-    pub(crate) fn fault_count(machine: &Machine, detection: DetectionScheme) -> u64 {
-        if detection.is_enabled() {
-            machine.stats().faults_detected + machine.stats().faults_corrected
-        } else {
-            machine.stats().faults_injected
-        }
     }
 
     fn finalize(

@@ -32,16 +32,15 @@
 //! no packet was lost untracked or processed twice.
 
 use crate::campaign::{panic_message, RESEED_STRIDE};
-use crate::config::{ClumsyConfig, FrequencyPlan};
-use crate::controller::{Decision, DynamicController};
-use crate::processor::{ClumsyProcessor, GoldenPass};
+use crate::config::ClumsyConfig;
+use crate::processor::{GoldenPass, MeasuredPass};
 use crate::telemetry::{Counter, Telemetry};
-use cache_sim::{DetectionScheme, MemStats};
+use cache_sim::MemStats;
 use netbench::{
-    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Observation, Packet,
-    PacketApp, Plane, Trace, TraceConfig, TrafficClass, TrafficSource, FNV_OFFSET,
+    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Packet, Trace, TraceConfig,
+    TrafficClass, TrafficSource, FNV_OFFSET,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -85,30 +84,6 @@ pub enum PushOutcome {
     /// discarded and the producer should stop.
     Closed,
 }
-
-/// How the shed deadline of a full queue is chosen.
-///
-/// `Fixed` is PR 8's behavior: every blocked push waits the full
-/// configured timeout, so under sustained overload producers stack up
-/// a whole timeout deep before the first packet is shed. `Adaptive`
-/// scales the deadline by smoothed queue occupancy — an idle queue
-/// grants the full timeout (transients are absorbed), a persistently
-/// full one shrinks it toward zero so shedding engages early and the
-/// pump keeps moving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// The configured shed timeout applies as-is.
-    #[default]
-    Fixed,
-    /// Deadline = `timeout × (1 − smoothed occupancy / capacity)`.
-    Adaptive,
-}
-
-/// EWMA smoothing shift for queue occupancy: new = old + (sample −
-/// old)/8. Instantaneous occupancy is useless for the adaptive policy
-/// (it always equals capacity at the moment a push blocks); the EWMA
-/// distinguishes a transient burst from sustained pressure.
-const OCCUPANCY_EWMA_SHIFT: u32 = 3;
 
 /// Most entries a shard moves from its ingress queue into its local
 /// batch under one lock. The shard never waits to fill a batch: it takes
@@ -180,8 +155,6 @@ struct QueueState {
     len: usize,
     closed: bool,
     highwater: usize,
-    /// Occupancy EWMA in milli-slots (fixed point ×1000).
-    occupancy_milli: u64,
     /// DRR deficit top-ups performed (scheduler-effort gauge).
     drr_topups: u64,
     /// Structural invariants repaired while dequeuing (stale round-robin
@@ -197,18 +170,6 @@ struct QueueState {
     /// a waiter registers before it sleeps, so no wakeup is lost.
     waiting_producers: usize,
     waiting_consumers: usize,
-}
-
-impl QueueState {
-    /// Folds the current length into the occupancy EWMA. Called on
-    /// every push, pop and shed so the smoothed signal tracks what the
-    /// producer actually experiences.
-    fn observe_occupancy(&mut self) {
-        let sample = self.len as u64 * 1000;
-        let old = self.occupancy_milli;
-        self.occupancy_milli =
-            old - (old >> OCCUPANCY_EWMA_SHIFT) + (sample >> OCCUPANCY_EWMA_SHIFT);
-    }
 }
 
 impl IngressQueue {
@@ -247,7 +208,6 @@ impl IngressQueue {
                 len: 0,
                 closed: false,
                 highwater: 0,
-                occupancy_milli: 0,
                 drr_topups: 0,
                 invariant_repairs: 0,
                 waiting_producers: 0,
@@ -258,24 +218,6 @@ impl IngressQueue {
             capacity,
             flow_cap,
         }
-    }
-
-    /// The shed deadline `policy` would grant right now for a
-    /// configured maximum of `max`: the full `max` under
-    /// [`ShedPolicy::Fixed`], scaled down by smoothed occupancy under
-    /// [`ShedPolicy::Adaptive`].
-    #[must_use]
-    pub fn shed_deadline(&self, max: Duration, policy: ShedPolicy) -> Duration {
-        let state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match policy {
-            ShedPolicy::Fixed => max,
-            ShedPolicy::Adaptive => Self::adaptive_timeout(&state, self.capacity, max),
-        }
-    }
-
-    fn adaptive_timeout(state: &QueueState, capacity: usize, max: Duration) -> Duration {
-        let frac = state.occupancy_milli as f64 / (capacity as f64 * 1000.0);
-        max.mul_f64((1.0 - frac).clamp(0.0, 1.0))
     }
 
     /// Pushes a packet, blocking while the queue is full. Backpressure
@@ -291,34 +233,28 @@ impl IngressQueue {
                 enqueued: None,
             },
             shed_timeout,
-            ShedPolicy::Fixed,
         )
     }
 
-    /// Pushes one entry under `policy`. In DRR mode a data-class flow
-    /// at its cap is shed immediately; a full queue blocks until the
-    /// policy's deadline, then sheds. Control-class entries are exempt
+    /// Pushes one entry. In DRR mode a data-class flow at its cap is
+    /// shed immediately; a full queue blocks until `timeout` has
+    /// passed, then sheds. Control-class entries are exempt
     /// from the flow cap and, on a full queue, preempt the newest
     /// data-class entry instead of waiting ([`PushOutcome::Preempted`]);
     /// only when the queue holds nothing but control do they block.
     /// Data never evicts control.
-    fn push_entry(&self, entry: Entry, max_timeout: Duration, policy: ShedPolicy) -> PushOutcome {
+    fn push_entry(&self, entry: Entry, timeout: Duration) -> PushOutcome {
         let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let control = entry.class == TrafficClass::Control;
         if let Some(cap) = self.flow_cap {
             if !control && !state.closed {
                 if let Some(fq) = state.flows.get(&entry.flow) {
                     if fq.q.len() >= cap {
-                        state.observe_occupancy();
                         return PushOutcome::ShedFlowCap;
                     }
                 }
             }
         }
-        let timeout = match policy {
-            ShedPolicy::Fixed => max_timeout,
-            ShedPolicy::Adaptive => Self::adaptive_timeout(&state, self.capacity, max_timeout),
-        };
         let deadline = Instant::now() + timeout;
         while state.len >= self.capacity && !state.closed {
             if control {
@@ -333,7 +269,6 @@ impl IngressQueue {
                 // control under ordinary backpressure.
             }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                state.observe_occupancy();
                 return PushOutcome::Shed;
             };
             state.waiting_producers += 1;
@@ -357,7 +292,6 @@ impl IngressQueue {
         Self::insert(s, entry, self.flow_cap.is_none());
         let depth = s.len;
         s.highwater = s.highwater.max(depth);
-        s.observe_occupancy();
         let wake = s.waiting_consumers > 0;
         drop(state);
         if wake {
@@ -494,7 +428,6 @@ impl IngressQueue {
                 let Some(e) = Self::dequeue(&mut state, drr) else {
                     break;
                 };
-                state.observe_occupancy();
                 sink(e);
                 taken += 1;
             }
@@ -603,9 +536,9 @@ impl IngressQueue {
 }
 
 /// The flow hash behind shard selection: [`Packet::flow_hash`], the
-/// one shared FNV-1a 5-tuple hash. The sharder, the classifier and the
-/// [`FlowDirector`] all route by this single implementation, so they
-/// can never silently diverge.
+/// one shared FNV-1a 5-tuple hash. The sharder and the classifier both
+/// route by this single implementation, so they can never silently
+/// diverge.
 fn flow_hash(pkt: &Packet) -> u64 {
     pkt.flow_hash()
 }
@@ -627,166 +560,6 @@ pub fn flow_shard(pkt: &Packet, shards: usize) -> usize {
 /// is lossless on every target.
 fn shard_of(flow: u64, shards: usize) -> usize {
     (flow % shards as u64) as usize
-}
-
-/// Tuning for skew rebalancing (see [`FlowDirector`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalanceConfig {
-    /// Queue-occupancy fraction at or above which a shard counts as
-    /// hot for one observation.
-    pub highwater_frac: f64,
-    /// Consecutive hot observations (one per pumped packet) before new
-    /// flows are diverted away from the shard.
-    pub window: u32,
-    /// Pinning-table size bound — bounded memory, like everything else
-    /// in serve. Once full, new flows stay on their natural shard.
-    pub max_pins: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            highwater_frac: 0.875,
-            window: 64,
-            max_pins: 4096,
-        }
-    }
-}
-
-/// How [`FlowDirector::route`] placed a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteKind {
-    /// The natural flow-hash shard.
-    Natural,
-    /// An already-pinned flow following its pin.
-    Pinned,
-    /// First packet of a new flow, pinned away from its hot natural
-    /// shard by this very call.
-    NewPin,
-}
-
-/// Routes flows to shards, diverting *new* flows away from
-/// persistently hot shards.
-///
-/// Static flow hashing is blind to skew: two elephant flows that hash
-/// to the same shard overload it while siblings idle. The director
-/// watches per-shard queue occupancy; when a shard stays above
-/// [`RebalanceConfig::highwater_frac`] for a full window, flows making
-/// their *first* appearance are pinned to the least-loaded shard
-/// instead. Only never-seen flows are eligible — a flow that has
-/// already sent a packet routes to the same shard forever (pinned or
-/// natural), so per-flow ordering is preserved by construction, not by
-/// luck.
-#[derive(Debug)]
-pub struct FlowDirector {
-    shards: usize,
-    cfg: RebalanceConfig,
-    pinned: HashMap<u64, usize>,
-    seen: HashSet<u64>,
-    hot_streak: Vec<u32>,
-    /// Diversion opportunities lost to a full pin table: a new flow
-    /// whose natural shard had been hot for a full window, left on the
-    /// hot shard because the table was at `max_pins`.
-    pin_table_full: u64,
-    /// Whether the full-table warning has been emitted. Pins are never
-    /// removed, so one episode spans the rest of the run — the warning
-    /// fires once instead of flooding stderr per packet.
-    warned_full: bool,
-}
-
-impl FlowDirector {
-    /// A director over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards < 2` — with one shard there is nowhere to
-    /// divert to (the CLI rejects that config with a typed error
-    /// before it gets here).
-    #[must_use]
-    pub fn new(shards: usize, cfg: RebalanceConfig) -> Self {
-        assert!(shards >= 2, "rebalancing needs at least two shards");
-        FlowDirector {
-            shards,
-            cfg,
-            pinned: HashMap::new(),
-            seen: HashSet::new(),
-            hot_streak: vec![0; shards],
-            pin_table_full: 0,
-            warned_full: false,
-        }
-    }
-
-    /// Records one occupancy sample per shard: `depths[i]` queued of
-    /// `capacity`. Extends or resets each shard's hot streak.
-    pub fn observe(&mut self, depths: &[usize], capacity: usize) {
-        assert_eq!(depths.len(), self.shards, "one depth per shard");
-        let hot = ((capacity as f64 * self.cfg.highwater_frac).ceil() as usize).max(1);
-        for (streak, &depth) in self.hot_streak.iter_mut().zip(depths) {
-            *streak = if depth >= hot {
-                streak.saturating_add(1)
-            } else {
-                0
-            };
-        }
-    }
-
-    /// Routes one packet of `flow` given current queue `depths`.
-    /// Pinned flows follow their pin forever; seen-but-unpinned flows
-    /// stay natural; a first-sighted flow whose natural shard has been
-    /// hot for a full window is pinned to the least-loaded shard.
-    pub fn route(&mut self, flow: u64, depths: &[usize]) -> (usize, RouteKind) {
-        assert_eq!(depths.len(), self.shards, "one depth per shard");
-        let natural = shard_of(flow, self.shards);
-        if let Some(&pin) = self.pinned.get(&flow) {
-            return (pin, RouteKind::Pinned);
-        }
-        if !self.seen.insert(flow) {
-            return (natural, RouteKind::Natural);
-        }
-        if self.hot_streak[natural] >= self.cfg.window {
-            if self.pinned.len() >= self.cfg.max_pins {
-                // The table is full: diversion silently stopping here
-                // was the bug — count every lost opportunity and warn
-                // once so operators can see the bound binding.
-                self.pin_table_full += 1;
-                if !self.warned_full {
-                    self.warned_full = true;
-                    eprintln!(
-                        "serve: rebalance pin table full ({} pins); \
-                         new flows stay on their natural shards",
-                        self.cfg.max_pins
-                    );
-                }
-            } else {
-                let coldest = (0..self.shards)
-                    .min_by_key(|&i| depths[i])
-                    .expect("at least two shards");
-                if coldest != natural {
-                    self.pinned.insert(flow, coldest);
-                    return (coldest, RouteKind::NewPin);
-                }
-            }
-        }
-        (natural, RouteKind::Natural)
-    }
-
-    /// Number of flows currently pinned off their natural shard.
-    #[must_use]
-    pub fn pinned_flows(&self) -> usize {
-        self.pinned.len()
-    }
-
-    /// Diversion opportunities lost because the pin table was full.
-    #[must_use]
-    pub fn pin_table_full(&self) -> u64 {
-        self.pin_table_full
-    }
-
-    /// Number of distinct flows the director has routed.
-    #[must_use]
-    pub fn seen_flows(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 /// Incremental FNV-1a fold of one packet outcome into a shard digest.
@@ -910,18 +683,12 @@ pub struct ServeConfig {
     /// How long a full queue exerts backpressure before the packet is
     /// shed.
     pub shed_timeout: Duration,
-    /// How the shed deadline is derived from `shed_timeout` (fixed, or
-    /// scaled down by queue occupancy).
-    pub shed_policy: ShedPolicy,
     /// Per-flow queue cap; `Some` switches every ingress queue to
     /// deficit-round-robin dequeue with immediate shedding of flows at
     /// their cap. Must be ≥ 1 and below `queue_depth`. DRR trades the
     /// bitwise-reproducible dequeue order of FIFO mode for elephant
     /// isolation; accounting and per-flow ordering are unaffected.
     pub flow_queue_cap: Option<usize>,
-    /// Skew rebalancing; `Some` diverts never-seen flows away from
-    /// persistently hot shards. Needs at least two shards.
-    pub rebalance: Option<RebalanceConfig>,
     /// Number of flows classified as control (the `n` numerically
     /// lowest flow hashes of the traffic's flow table). `0` disables
     /// classification: every packet is data and the class report is
@@ -957,9 +724,7 @@ impl ServeConfig {
             design,
             traffic: TraceConfig::paper(),
             shed_timeout: Duration::from_millis(100),
-            shed_policy: ShedPolicy::Fixed,
             flow_queue_cap: None,
-            rebalance: None,
             control_flows: 0,
             slo_p99_us: None,
             stats_interval: 256,
@@ -995,24 +760,10 @@ impl ServeConfig {
         self
     }
 
-    /// Returns the config with a different shed policy.
-    #[must_use]
-    pub fn with_shed_policy(mut self, policy: ShedPolicy) -> Self {
-        self.shed_policy = policy;
-        self
-    }
-
     /// Returns the config with a per-flow queue cap (enables DRR).
     #[must_use]
     pub fn with_flow_queue_cap(mut self, cap: usize) -> Self {
         self.flow_queue_cap = Some(cap);
-        self
-    }
-
-    /// Returns the config with skew rebalancing enabled.
-    #[must_use]
-    pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.rebalance = Some(rebalance);
         self
     }
 
@@ -1112,8 +863,8 @@ pub struct FlowTraffic {
 }
 
 /// Overload-policy accounting. Present on a [`ServeReport`] only when
-/// an overload feature (adaptive shedding, flow caps, rebalancing) was
-/// enabled — the default path computes none of this.
+/// a per-flow queue cap is set — the default path computes none of
+/// this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadReport {
     /// Packets shed because their flow was at its per-flow cap (a
@@ -1123,13 +874,6 @@ pub struct OverloadReport {
     pub drr_deficit_topups: u64,
     /// Distinct flows the pump saw.
     pub flows_seen: u64,
-    /// Flows pinned off their natural shard by the rebalancer.
-    pub flows_pinned: u64,
-    /// Packets routed to a pinned (non-natural) shard.
-    pub packets_diverted: u64,
-    /// Diversion opportunities lost because the rebalance pin table
-    /// was full (see [`FlowDirector::pin_table_full`]).
-    pub pin_table_full: u64,
     /// Heaviest flows by offered packets, descending (at most eight).
     pub top_flows: Vec<FlowTraffic>,
 }
@@ -1295,14 +1039,8 @@ impl ServeReport {
         if let Some(o) = &self.overload {
             let _ = writeln!(
                 out,
-                "overload: shed_flow_cap={} drr_topups={} flows_seen={} \
-                 flows_pinned={} packets_diverted={} pin_table_full={}",
-                o.shed_flow_cap,
-                o.drr_deficit_topups,
-                o.flows_seen,
-                o.flows_pinned,
-                o.packets_diverted,
-                o.pin_table_full,
+                "overload: shed_flow_cap={} drr_topups={} flows_seen={}",
+                o.shed_flow_cap, o.drr_deficit_topups, o.flows_seen,
             );
             if let Some(top) = o.top_flows.first() {
                 // Asymmetry proof for the soak gates: the heaviest flow
@@ -1361,14 +1099,7 @@ enum PacketVerdict {
 /// exactly the batch runner's differential execution, just unbounded.
 struct ShardState {
     golden: GoldenPass,
-    machine: Machine,
-    app: Box<dyn PacketApp>,
-    /// The measured side's observations, reused across packets.
-    obs: Vec<Observation>,
-    fuel: u64,
-    controller: Option<DynamicController>,
-    detection: DetectionScheme,
-    faults_seen: u64,
+    measured: MeasuredPass,
     published: MemStats,
 }
 
@@ -1378,40 +1109,12 @@ impl ShardState {
     /// with a reseeded stream.
     fn build(cfg: &ServeConfig, context: &Trace, seed: u64) -> Result<ShardState, AppError> {
         let (golden, _) = GoldenPass::boot(cfg.app, context)?;
-
-        // Measured side: mirrors `ClumsyProcessor::run_with_golden`.
-        let mut machine = Machine::with_config(cfg.design.mem.clone(), seed);
-        machine.set_fault_planes(cfg.design.planes);
-        let mut app = cfg.app.instantiate(context);
-        let fuel = cfg.design.fuel_per_packet.unwrap_or(app.fuel_per_packet());
-        let controller = match &cfg.design.frequency {
-            FrequencyPlan::Static(cr) => {
-                machine.set_cycle_free(*cr);
-                None
-            }
-            FrequencyPlan::Dynamic(d) => {
-                let ctl = DynamicController::new(d.clone());
-                machine.set_cycle_free(ctl.cycle_time());
-                Some(ctl)
-            }
-        };
-        machine.set_plane(Plane::Control);
-        machine.set_fuel(app.setup_fuel());
-        app.setup(&mut machine)?;
-        machine.writeback_all();
-        machine.set_plane(Plane::Data);
-        let detection = cfg.design.mem.detection;
-        let faults_seen = ClumsyProcessor::fault_count(&machine, detection);
-        let published = *machine.stats();
+        let mut measured = MeasuredPass::new(&cfg.design, cfg.app, context, seed);
+        measured.setup()?;
+        let published = *measured.machine().stats();
         Ok(ShardState {
             golden,
-            machine,
-            app,
-            obs: Vec::new(),
-            fuel,
-            controller,
-            detection,
-            faults_seen,
+            measured,
             published,
         })
     }
@@ -1419,18 +1122,17 @@ impl ShardState {
     /// Runs one packet through both machines and classifies it.
     fn process_packet(&mut self, pkt: &Packet) -> PacketVerdict {
         let golden = self.golden.step(pkt);
-        let measured = self.machine.dma_packet(pkt).and_then(|view| {
-            self.machine.set_fuel(self.fuel);
-            self.app
-                .process_into(&mut self.machine, view, &mut self.obs)
-        });
+        let measured = self
+            .measured
+            .receive(pkt)
+            .and_then(|view| self.measured.process(view));
         // Never wedge: a fatal on either side drops the packet and keeps
         // both machines alive (watchdog semantics, always on in serve).
         // Without a golden reference there is nothing to diff against,
         // so an oversized packet is a drop, not a panic.
         let verdict = match (golden, measured) {
-            (Ok(golden_obs), Ok(())) => {
-                if diff_observations(golden_obs, &self.obs).has_error() {
+            (Ok(golden_obs), Ok(obs)) => {
+                if diff_observations(golden_obs, obs).has_error() {
                     PacketVerdict::Erroneous
                 } else {
                     PacketVerdict::Clean
@@ -1438,24 +1140,16 @@ impl ShardState {
             }
             _ => PacketVerdict::Dropped,
         };
-
         // Dynamic adaptation on the observed fault counter, exactly as
         // in the batch runner — but online, per shard, forever.
-        if let Some(ctl) = self.controller.as_mut() {
-            let now = ClumsyProcessor::fault_count(&self.machine, self.detection);
-            let delta = now - self.faults_seen;
-            self.faults_seen = now;
-            if let Some(Decision::Switch(cr)) = ctl.on_packet(delta) {
-                self.machine.set_cycle(cr);
-            }
-        }
+        self.measured.control_step();
         verdict
     }
 
     /// Publishes the fault counters accumulated since the last publish
     /// into telemetry and the shard report.
     fn publish(&mut self, rep: &mut ShardReport, telemetry: Option<&Telemetry>, worker: usize) {
-        let now = *self.machine.stats();
+        let now = *self.measured.machine().stats();
         let delta = now.since(&self.published);
         if let Some(t) = telemetry {
             t.record_stats(worker, &delta);
@@ -1578,10 +1272,10 @@ fn shard_loop(
         }
     }
     state.publish(rep, telemetry, shard);
-    if let Some(ctl) = &state.controller {
+    if let Some(ctl) = state.measured.controller() {
         rep.safe_mode_entries += u64::from(ctl.safe_mode_entries());
     }
-    rep.final_cycle = state.machine.cycle_time();
+    rep.final_cycle = state.measured.machine().cycle_time();
 }
 
 /// Supervises one shard for the lifetime of the run: every generation
@@ -1654,9 +1348,6 @@ pub fn run_serve(
     stop: &(dyn Fn() -> bool + Sync),
 ) -> ServeReport {
     assert!(cfg.shards > 0, "need at least one shard");
-    if cfg.rebalance.is_some() {
-        assert!(cfg.shards >= 2, "rebalancing needs at least two shards");
-    }
     let clock = Instant::now();
     let mut source = TrafficSource::new(&cfg.traffic);
 
@@ -1691,19 +1382,10 @@ pub fn run_serve(
         .collect();
 
     // The overload layer is fully absent on the default path: no flow
-    // table, no depth sampling, no clock reads — the PR 8 pump,
-    // bitwise.
-    let overload_on = cfg.shed_policy != ShedPolicy::Fixed
-        || cfg.flow_queue_cap.is_some()
-        || cfg.rebalance.is_some();
-    let mut director = cfg
-        .rebalance
-        .clone()
-        .map(|r| FlowDirector::new(cfg.shards, r));
+    // table and no clock reads — the FIFO pump, bitwise.
+    let overload_on = cfg.flow_queue_cap.is_some();
     let mut flow_stats: HashMap<u64, (u64, u64)> = HashMap::new(); // (offered, shed)
-    let mut depths = vec![0usize; cfg.shards];
     let mut shed_flow_cap = 0u64;
-    let mut packets_diverted = 0u64;
 
     let mut generated = 0u64;
     let mut ingested = 0u64;
@@ -1763,28 +1445,7 @@ pub fn run_serve(
                 }
             }
             let slo_tightened = shed_timeout.is_zero() && !cfg.shed_timeout.is_zero();
-            let shard = if let Some(d) = director.as_mut() {
-                for (slot, q) in depths.iter_mut().zip(&queues) {
-                    *slot = q.len();
-                }
-                d.observe(&depths, cfg.queue_depth);
-                let (shard, kind) = d.route(flow, &depths);
-                match kind {
-                    RouteKind::Natural => {}
-                    RouteKind::Pinned | RouteKind::NewPin => {
-                        packets_diverted += 1;
-                        if let Some(t) = telemetry {
-                            t.count(0, Counter::packets_diverted, 1);
-                            if kind == RouteKind::NewPin {
-                                t.count(0, Counter::flows_diverted, 1);
-                            }
-                        }
-                    }
-                }
-                shard
-            } else {
-                shard_of(flow, cfg.shards)
-            };
+            let shard = shard_of(flow, cfg.shards);
             if overload_on {
                 flow_stats.entry(flow).or_insert((0, 0)).0 += 1;
             }
@@ -1794,7 +1455,7 @@ pub fn run_serve(
                 class,
                 enqueued: telemetry.map(|_| Instant::now()),
             };
-            match queues[shard].push_entry(entry, shed_timeout, cfg.shed_policy) {
+            match queues[shard].push_entry(entry, shed_timeout) {
                 PushOutcome::Enqueued(depth) => {
                     ingested += 1;
                     if class == TrafficClass::Control {
@@ -1904,10 +1565,8 @@ pub fn run_serve(
     }
     let overload = overload_on.then(|| {
         let drr_deficit_topups: u64 = queues.iter().map(IngressQueue::drr_topups).sum();
-        let pin_table_full = director.as_ref().map_or(0, FlowDirector::pin_table_full);
         if let Some(t) = telemetry {
             t.count(0, Counter::drr_deficit_topups, drr_deficit_topups);
-            t.count(0, Counter::rebalance_pin_table_full, pin_table_full);
         }
         let mut top_flows: Vec<FlowTraffic> = flow_stats
             .iter()
@@ -1924,9 +1583,6 @@ pub fn run_serve(
             shed_flow_cap,
             drr_deficit_topups,
             flows_seen,
-            flows_pinned: director.as_ref().map_or(0, |d| d.pinned_flows() as u64),
-            packets_diverted,
-            pin_table_full,
             top_flows,
         }
     });
@@ -2132,30 +1788,6 @@ mod tests {
         }
     }
 
-    /// Deliberately colliding fixture: `n` distinct 5-tuples that all
-    /// flow-hash to `shard` of `shards` — the worst case static
-    /// sharding can see, used by the rebalance tests.
-    fn colliding_flows(shard: usize, shards: usize, n: usize) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(n);
-        let mut i = 0u32;
-        while out.len() < n {
-            let p = tuple_pkt(i);
-            if flow_shard(&p, shards) == shard {
-                out.push(p);
-            }
-            i = i.checked_add(1).expect("fixture search stays in range");
-        }
-        out
-    }
-
-    #[test]
-    fn colliding_fixture_really_collides() {
-        let pkts = colliding_flows(1, 4, 32);
-        let distinct: std::collections::HashSet<u64> = pkts.iter().map(flow_hash).collect();
-        assert_eq!(distinct.len(), 32, "fixture flows must be distinct");
-        assert!(pkts.iter().all(|p| flow_shard(p, 4) == 1));
-    }
-
     #[test]
     fn flow_hash_spreads_uniform_tuples_evenly() {
         // Chi-square goodness of fit for FNV-1a 5-tuple sharding over
@@ -2181,34 +1813,6 @@ mod tests {
                 "{shards} shards: chi2 {chi2:.2} >= {crit} ({counts:?})"
             );
         }
-    }
-
-    #[test]
-    fn adaptive_deadline_shrinks_under_sustained_pressure() {
-        let q = IngressQueue::new(4);
-        let max = Duration::from_millis(80);
-        // Fresh queue: zero smoothed occupancy grants the full budget.
-        assert_eq!(q.shed_deadline(max, ShedPolicy::Adaptive), max);
-        assert_eq!(q.shed_deadline(max, ShedPolicy::Fixed), max);
-        // Fill it and keep observing fullness: the EWMA converges on
-        // capacity and the adaptive deadline collapses toward zero.
-        let tiny = Duration::from_millis(1);
-        for i in 0..4 {
-            assert!(matches!(
-                q.push(tuple_pkt(i), Duration::from_secs(1)),
-                PushOutcome::Enqueued(_)
-            ));
-        }
-        for i in 4..40 {
-            assert_eq!(q.push(tuple_pkt(i), tiny), PushOutcome::Shed);
-        }
-        let squeezed = q.shed_deadline(max, ShedPolicy::Adaptive);
-        assert!(
-            squeezed < max / 4,
-            "deadline {squeezed:?} did not shrink under pressure"
-        );
-        // Fixed policy is immune to occupancy by definition.
-        assert_eq!(q.shed_deadline(max, ShedPolicy::Fixed), max);
     }
 
     #[test]
@@ -2280,80 +1884,12 @@ mod tests {
     }
 
     #[test]
-    fn director_pins_new_flows_off_a_hot_shard() {
-        let mut d = FlowDirector::new(
-            4,
-            RebalanceConfig {
-                highwater_frac: 0.875,
-                window: 3,
-                max_pins: 100,
-            },
-        );
-        let depths_hot = [60usize, 2, 1, 5]; // shard 0 ≥ 7/8 of 64
-                                             // Flows that naturally hash to shard 0.
-        let flows: Vec<u64> = colliding_flows(0, 4, 6).iter().map(flow_hash).collect();
-        // Before the window fills, first sightings stay natural.
-        d.observe(&depths_hot, 64);
-        let (s, kind) = d.route(flows[0], &depths_hot);
-        assert_eq!((s, kind), (0, RouteKind::Natural));
-        d.observe(&depths_hot, 64);
-        d.observe(&depths_hot, 64);
-        // Window full: a *new* flow is pinned to the coldest shard.
-        let (s, kind) = d.route(flows[1], &depths_hot);
-        assert_eq!((s, kind), (2, RouteKind::NewPin));
-        // The pin is sticky: every later packet of that flow follows
-        // it, whatever the depths, so per-flow ordering holds.
-        let calm = [0usize, 50, 60, 70];
-        d.observe(&calm, 64);
-        assert_eq!(d.route(flows[1], &calm), (2, RouteKind::Pinned));
-        // The flow seen before the window filled is seen, not new —
-        // never diverted, even under pressure.
-        d.observe(&depths_hot, 64);
-        d.observe(&depths_hot, 64);
-        d.observe(&depths_hot, 64);
-        assert_eq!(d.route(flows[0], &depths_hot), (0, RouteKind::Natural));
-        assert_eq!(d.pinned_flows(), 1);
-        assert_eq!(d.seen_flows(), 2);
-    }
-
-    #[test]
-    fn director_respects_the_pin_table_bound() {
-        let mut d = FlowDirector::new(
-            2,
-            RebalanceConfig {
-                highwater_frac: 0.5,
-                window: 1,
-                max_pins: 2,
-            },
-        );
-        let depths = [64usize, 0];
-        let flows: Vec<u64> = colliding_flows(0, 2, 5).iter().map(flow_hash).collect();
-        d.observe(&depths, 64);
-        for (i, &f) in flows.iter().enumerate() {
-            d.observe(&depths, 64);
-            let (_, kind) = d.route(f, &depths);
-            if i < 2 {
-                assert_eq!(kind, RouteKind::NewPin, "flow {i}");
-            } else {
-                assert_eq!(
-                    kind,
-                    RouteKind::Natural,
-                    "flow {i} must not pin past the bound"
-                );
-            }
-        }
-        assert_eq!(d.pinned_flows(), 2);
-    }
-
-    #[test]
     fn overload_serve_accounts_and_reports() {
-        // All three overload features on, under a genuinely skewed mix.
+        // The per-flow cap on, under a genuinely skewed mix.
         let cfg = serve_cfg(600)
             .with_shards(2)
             .with_queue_depth(32)
             .with_flow_queue_cap(4)
-            .with_shed_policy(ShedPolicy::Adaptive)
-            .with_rebalance(RebalanceConfig::default())
             .with_traffic(TraceConfig::small().with_pattern(netbench::TrafficPattern::Elephant));
         let report = run_serve(&cfg, None, &|| false);
         assert!(report.accounting_holds(), "{report:?}");
@@ -2440,11 +1976,7 @@ mod tests {
         // Full queue: a control push evicts the newest data entry
         // instead of waiting out the backpressure deadline.
         let before = Instant::now();
-        let out = q.push_entry(
-            entry_of(c.clone(), TrafficClass::Control),
-            long,
-            ShedPolicy::Fixed,
-        );
+        let out = q.push_entry(entry_of(c.clone(), TrafficClass::Control), long);
         assert!(before.elapsed() < Duration::from_secs(1));
         assert_eq!(
             out,
@@ -2471,7 +2003,7 @@ mod tests {
         }
         assert!(matches!(q.push(y.clone(), long), PushOutcome::Enqueued(4)));
         let ctl = entry_of(tuple_pkt(3), TrafficClass::Control);
-        let out = q.push_entry(ctl, long, ShedPolicy::Fixed);
+        let out = q.push_entry(ctl, long);
         assert_eq!(
             out,
             PushOutcome::Preempted {
@@ -2495,21 +2027,13 @@ mod tests {
         let long = Duration::from_secs(300);
         let short = Duration::from_millis(5);
         assert!(matches!(
-            q.push_entry(
-                entry_of(tuple_pkt(1), TrafficClass::Control),
-                long,
-                ShedPolicy::Fixed
-            ),
+            q.push_entry(entry_of(tuple_pkt(1), TrafficClass::Control), long),
             PushOutcome::Enqueued(1)
         ));
         // All-control queue: a second control packet competes under
         // ordinary backpressure and sheds at the deadline.
         assert_eq!(
-            q.push_entry(
-                entry_of(tuple_pkt(2), TrafficClass::Control),
-                short,
-                ShedPolicy::Fixed
-            ),
+            q.push_entry(entry_of(tuple_pkt(2), TrafficClass::Control), short),
             PushOutcome::Shed
         );
         // Data never preempts anything.
@@ -2659,28 +2183,6 @@ mod tests {
         assert!(!summary.contains("slo:"), "{summary}");
     }
 
-    #[test]
-    fn director_counts_rejected_pins_when_the_table_fills() {
-        let mut d = FlowDirector::new(
-            2,
-            RebalanceConfig {
-                highwater_frac: 0.5,
-                window: 1,
-                max_pins: 1,
-            },
-        );
-        let depths = [64usize, 0];
-        let flows: Vec<u64> = colliding_flows(0, 2, 4).iter().map(flow_hash).collect();
-        d.observe(&depths, 64);
-        for &f in &flows {
-            d.observe(&depths, 64);
-            let _ = d.route(f, &depths);
-        }
-        assert_eq!(d.pinned_flows(), 1);
-        // Three new flows wanted pins after the table filled.
-        assert_eq!(d.pin_table_full(), 3);
-    }
-
     /// Runs `cfg` on its own thread and fails, instead of hanging, if
     /// the run does not finish within `limit`: a lost wakeup leaves a
     /// shard asleep on a queue that has work.
@@ -2738,7 +2240,7 @@ mod tests {
         let mut traffic = small_traffic();
         traffic.payload_min = 1900;
         traffic.payload_max = 2100;
-        let mut dma = Machine::golden();
+        let mut dma = netbench::Machine::golden();
         let too_big = TrafficSource::new(&traffic)
             .take(300)
             .filter(|p| dma.dma_packet(p).is_err())

@@ -64,6 +64,18 @@ impl TrialOutcome {
         }
     }
 
+    /// Short human label (progress lines and table headers).
+    pub fn short_label(&self) -> &'static str {
+        match self {
+            TrialOutcome::Masked => "masked",
+            TrialOutcome::Corrected => "corrected",
+            TrialOutcome::DetectedRecovered => "recovered",
+            TrialOutcome::DetectedFatal => "fatal",
+            TrialOutcome::SilentDataCorruption => "sdc",
+            TrialOutcome::RecoveryFailed => "rec_fail",
+        }
+    }
+
     /// All outcomes, least to most severe. The one definition of
     /// outcome order; telemetry's tallies follow it.
     pub const fn all() -> [TrialOutcome; 6] {

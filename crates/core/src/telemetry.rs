@@ -220,8 +220,6 @@ registry! {
         queue_highwater: Max => "Serve: high-water ingress-queue occupancy.",
         packets_shed_flow_cap: Sum => "Serve: packets shed at the per-flow queue cap (subset of"
             "[`MetricsSnapshot::packets_shed`]).",
-        packets_diverted: Sum => "Serve: packets routed to a pinned (non-natural) shard.",
-        flows_diverted: Sum => "Serve: flows pinned away from hot shards by the rebalancer.",
         drr_deficit_topups: Sum => "Serve: DRR deficit top-ups across all ingress queues.",
         serve_latency_us_count: Sum => "Serve: packets timed enqueue→verdict.",
         serve_latency_us_total: Sum => "Serve: total enqueue→verdict microseconds.",
@@ -242,8 +240,6 @@ registry! {
         slo_trigger_activations: Sum => "Serve: latency-SLO trigger inactive→active transitions.",
         slo_last_p99_us: Gauge => "Serve: last windowed p99 estimate seen by the SLO trigger"
             "(microseconds, conservative bucket-upper-edge; a gauge).",
-        rebalance_pin_table_full: Sum => "Serve: rebalance pins rejected because the pin table was"
-            "full.",
         queue_invariant_repairs: Sum => "Serve: repaired ingress-queue invariant violations"
             "(non-zero means a bug was survived, not wedged on).",
     }
@@ -634,16 +630,10 @@ impl MetricsSnapshot {
             }
             None => line.push_str(" | ETA --"),
         }
-        let _ = write!(
-            line,
-            " | masked {} corrected {} recovered {} fatal {} sdc {} rec_fail {}",
-            self.outcomes[0],
-            self.outcomes[1],
-            self.outcomes[2],
-            self.outcomes[3],
-            self.outcomes[4],
-            self.outcomes[5]
-        );
+        line.push_str(" |");
+        for (outcome, n) in TrialOutcome::all().iter().zip(&self.outcomes) {
+            let _ = write!(line, " {} {n}", outcome.short_label());
+        }
         let _ = write!(
             line,
             " | retried {} abandoned {} (live {})",
@@ -1063,9 +1053,6 @@ mod tests {
         let t = Telemetry::with_shards(2);
         t.count(0, Counter::packets_shed, 1);
         t.count(0, Counter::packets_shed_flow_cap, 1);
-        t.count(0, Counter::packets_diverted, 1);
-        t.count(0, Counter::packets_diverted, 1);
-        t.count(0, Counter::flows_diverted, 1);
         t.count(0, Counter::drr_deficit_topups, 7);
         t.serve_latency(Duration::from_micros(100));
         t.serve_latency(Duration::from_micros(3000));
@@ -1076,8 +1063,6 @@ mod tests {
         assert_eq!(s.serve_latency_us_buckets.len(), 2);
         let map = parse_metrics(&t.metrics_json()).expect("schema present");
         assert_eq!(map.get("packets_shed_flow_cap"), Some(&1));
-        assert_eq!(map.get("packets_diverted"), Some(&2));
-        assert_eq!(map.get("flows_diverted"), Some(&1));
         assert_eq!(map.get("drr_deficit_topups"), Some(&7));
         assert_eq!(map.get("serve_latency_us_count"), Some(&2));
         assert_eq!(map.get("serve_latency_us_total"), Some(&3100));
@@ -1095,7 +1080,6 @@ mod tests {
         t.count(0, Counter::slo_trigger_activations, 1);
         t.count(0, Counter::slo_last_p99_us, 2047);
         t.count(0, Counter::slo_last_p99_us, 511); // gauge: last write wins
-        t.count(0, Counter::rebalance_pin_table_full, 3);
         t.count(0, Counter::queue_invariant_repairs, 2);
         let s = t.snapshot();
         assert_eq!(s.packets_shed_control, 1);
@@ -1108,7 +1092,6 @@ mod tests {
         assert_eq!(map.get("packets_shed_slo"), Some(&1));
         assert_eq!(map.get("slo_trigger_activations"), Some(&1));
         assert_eq!(map.get("slo_last_p99_us"), Some(&511));
-        assert_eq!(map.get("rebalance_pin_table_full"), Some(&3));
         assert_eq!(map.get("queue_invariant_repairs"), Some(&2));
     }
 

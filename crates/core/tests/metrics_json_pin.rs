@@ -45,8 +45,6 @@ fn populated() -> MetricsSnapshot {
         packets_ingested: 29,
         packets_shed: 30,
         packets_shed_flow_cap: 31,
-        packets_diverted: 32,
-        flows_diverted: 33,
         drr_deficit_topups: 34,
         packets_processed: 35,
         packets_erroneous: 36,
@@ -62,7 +60,6 @@ fn populated() -> MetricsSnapshot {
         packets_shed_slo: 46,
         slo_trigger_activations: 47,
         slo_last_p99_us: 48,
-        rebalance_pin_table_full: 49,
         queue_invariant_repairs: 50,
         journal_records: 51,
         journal_fsyncs: 52,
@@ -91,8 +88,8 @@ const PINNED: &str = concat!(
     r#"  "jobs": {"jobs_total": 1, "jobs_completed": 2, "jobs_replayed": 3, "jobs_retried": 4, "jobs_abandoned": 5, "jobs_failed": 6, "abandoned_live": 7, "abandoned_peak": 8, "abandoned_cap_hits": 9},"#, "\n",
     r#"  "faults": {"faults_injected": 10, "tag_faults_injected": 11, "parity_faults_injected": 12, "l2_faults_injected": 13, "faults_detected": 14, "faults_corrected": 15, "strike_retries": 16, "recovery_failures": 17, "ways_disabled": 20, "salvage_writebacks": 21, "bypass_accesses": 22},"#, "\n",
     r#"  "outcomes": {"outcome_masked": 23, "outcome_corrected": 24, "outcome_detected_recovered": 25, "outcome_detected_fatal": 26, "outcome_sdc": 27, "outcome_recovery_failed": 28},"#, "\n",
-    r#"  "serve": {"packets_ingested": 29, "packets_shed": 30, "packets_processed": 35, "packets_erroneous": 36, "packets_dropped": 37, "packets_abandoned": 38, "shard_panics": 39, "shard_restarts": 40, "shard_setup_retries": 41, "queue_highwater": 42, "packets_shed_flow_cap": 31, "packets_diverted": 32, "flows_diverted": 33, "drr_deficit_topups": 34, "serve_latency_us_count": 63, "serve_latency_us_total": 64, "serve_latency_us_max": 65, "serve_latency_us_buckets": [[2, 66], [1024, 67]]},"#, "\n",
-    r#"  "class": {"packets_shed_control": 43, "packets_shed_data": 44, "packets_preempt_shed": 45, "packets_shed_slo": 46, "slo_trigger_activations": 47, "slo_last_p99_us": 48, "rebalance_pin_table_full": 49, "queue_invariant_repairs": 50},"#, "\n",
+    r#"  "serve": {"packets_ingested": 29, "packets_shed": 30, "packets_processed": 35, "packets_erroneous": 36, "packets_dropped": 37, "packets_abandoned": 38, "shard_panics": 39, "shard_restarts": 40, "shard_setup_retries": 41, "queue_highwater": 42, "packets_shed_flow_cap": 31, "drr_deficit_topups": 34, "serve_latency_us_count": 63, "serve_latency_us_total": 64, "serve_latency_us_max": 65, "serve_latency_us_buckets": [[2, 66], [1024, 67]]},"#, "\n",
+    r#"  "class": {"packets_shed_control": 43, "packets_shed_data": 44, "packets_preempt_shed": 45, "packets_shed_slo": 46, "slo_trigger_activations": 47, "slo_last_p99_us": 48, "queue_invariant_repairs": 50},"#, "\n",
     r#"  "journal": {"journal_records": 51, "journal_fsyncs": 52, "journal_fsync_us_total": 53, "journal_fsync_us_max": 54},"#, "\n",
     r#"  "engine": {"engine_jobs": 55, "engine_us_total": 56, "fast_forward_accesses": 18, "slow_path_accesses": 19},"#, "\n",
     r#"  "job_time": {"job_us_count": 57, "job_us_total": 58, "job_us_max": 59, "job_us_buckets": [[1, 60], [64, 61], [4096, 62]]}"#, "\n",

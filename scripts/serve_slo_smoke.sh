@@ -49,7 +49,7 @@ field() { # field <key> <file>
 echo "== serve $PACKETS class-tagged elephant-mix packets under a 1us p99 budget =="
 "$BIN" serve --app crc --shards "$SHARDS" --queue-depth 256 \
     --packets "$PACKETS" --flows 256 --pattern elephant \
-    --flow-queue-cap 4 --shed-policy adaptive \
+    --flow-queue-cap 4 \
     --shed-timeout-ms 60000 \
     --control-flows 6 --slo-p99-us 1 \
     --metrics "$WORK/metrics.json" > "$WORK/serve.out" \
