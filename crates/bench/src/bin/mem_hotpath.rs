@@ -8,9 +8,11 @@
 //! (none, parity, ECC), each measured over the same mixed
 //! read/write/subword workload on a mostly-hitting working set. Two more
 //! cells add hard persistent fault sites (`p_site = 1e-6`) to the
-//! skip-ahead sampler, for parity and ECC: the configuration that pins
-//! every access to the per-access checking path, as durable campaigns
-//! with way-disabling run it.
+//! skip-ahead sampler, for parity and ECC, as durable campaigns with
+//! way-disabling run them: their accesses take the fast lane, each read
+//! with its own site draw, but count on the slow side of the fast/slow
+//! split. A persistent cell that reports any fast-forward access means
+//! the split moved, and the run exits 1 without writing the JSON.
 //!
 //! Each round issues a packet-like access pattern through the entry
 //! points the apps call: a 64-byte payload sweep (`read_block_u8`), a
@@ -234,6 +236,19 @@ fn main() {
             100.0 * m.slow_path as f64 / m.accesses as f64,
         );
         cells.push(cell);
+    }
+
+    let moved: Vec<String> = cells
+        .iter()
+        .filter(|c| c.sampler == SamplerCell::Persistent.label() && c.median().fast_forward > 0)
+        .map(|c| format!("{}/{}", c.detection, c.sampler))
+        .collect();
+    if !moved.is_empty() {
+        eprintln!(
+            "error: persistent-site cells counted fast-forward accesses: {}",
+            moved.join(", ")
+        );
+        std::process::exit(1);
     }
 
     let mut json = String::from("{\n  \"bench\": \"hotpath\",\n");

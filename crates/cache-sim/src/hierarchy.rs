@@ -76,13 +76,15 @@ pub struct MemSystem {
     read_nj: f64,
     /// Cached per-access L1 write energy at the current swing/detection.
     write_nj: f64,
-    /// Config-constant gate of the batched block sweeps: false when an
-    /// opt-in aux target (tag array, or parity bits under enabled
-    /// detection) draws from the sampler's stream on every access, so
-    /// no grant may span accesses.
+    /// Config-constant gate of the fast lane — single-access fast hits
+    /// and batched block sweeps: false when an opt-in aux target (tag
+    /// array, or parity bits under enabled detection) draws from the
+    /// sampler's stream on every access, so no grant may span accesses.
     bulk_ok: bool,
-    /// Config-constant fast-path gate: `bulk_ok`, and no persistent
-    /// sites (whose per-read draw every read must make).
+    /// Config-constant side of the fast/slow split a fast-lane access
+    /// is counted on: `bulk_ok` and no persistent sites. It gates no
+    /// work: under persistent sites the lane stays open (each read
+    /// makes its own site draw) and its accesses count as slow-path.
     fast_ok: bool,
     /// Whether fast-path reads must skip suspect lines (a detection
     /// scheme is enabled and would flag the stored mismatch).
@@ -138,8 +140,9 @@ impl MemSystem {
         // The aux targets below inject on *every* access (tag lookups,
         // signature reads), so any batched skip would change their
         // sampling stream: runs with those targets stay on the slow path.
-        // Persistent sites likewise must be visible to every read, so
-        // they too pin the system to the exact per-access path.
+        // Persistent sites draw from their own stream, so they keep the
+        // fast lane (each read makes its site draw there) and only move
+        // the lane's accesses to the slow side of the split.
         let bulk_ok = !cfg.targets.tag && (!cfg.targets.parity || !cfg.detection.is_enabled());
         let fast_ok = bulk_ok && cfg.persistent.is_none();
         let need_clean = cfg.detection.is_enabled();
@@ -527,14 +530,21 @@ impl MemSystem {
         (flip, code_flip)
     }
 
+    /// Whether reads make persistent-site draws: sites are on, and so
+    /// are injection (golden runs stay clean) and the data target.
+    #[inline]
+    fn draws_sites(&self) -> bool {
+        self.persistent.is_some() && self.sampler.is_enabled() && self.cfg.targets.data
+    }
+
     /// The persistent-site draw of one read: opt-in sticky fault sites,
     /// where a stuck bit in this physical slot corrupts every read that
-    /// senses it. Gated on the injection switch so golden runs stay
-    /// clean, and drawing from the process's own RNG stream so the
-    /// transient realization is untouched. Returns the flip mask.
+    /// senses it. Gated by [`MemSystem::draws_sites`], and drawing from
+    /// the process's own RNG stream so the transient realization is
+    /// untouched. Returns the flip mask.
     #[inline]
     fn site_flip(&mut self, addr: u32, way: usize) -> u32 {
-        if !(self.persistent.is_some() && self.sampler.is_enabled() && self.cfg.targets.data) {
+        if !self.draws_sites() {
             return 0;
         }
         let slot = self.persistent_slot(addr, way);
@@ -546,6 +556,34 @@ impl MemSystem {
             self.stats.faults_injected += 1;
         }
         pmask
+    }
+
+    /// The site draws of `take` reads of `stride` bytes from `addr`, all
+    /// on the resident line in way `way`, in read order and up to the
+    /// first that fires: that read's index in the stretch and its flip
+    /// mask. A line that hosts no site makes its draws in one batched
+    /// call ([`PersistentFaultProcess::touch_fresh`]), the same draws
+    /// read-by-read [`MemSystem::site_flip`] calls would make; a line
+    /// that hosts one draws read by read, since its site slots make
+    /// duty draws instead. Callers gate on [`MemSystem::draws_sites`].
+    fn site_draws(&mut self, addr: u32, way: usize, take: u32, stride: u32) -> Option<(u32, u32)> {
+        let first = self.persistent_slot(addr & !3, way);
+        let line = first - u64::from(self.cfg.l1.offset_of(addr) / 4);
+        let words = u64::from(self.cfg.l1.line_size() / 4);
+        let p = self.persistent.as_mut()?;
+        if !p.hosts_site(line..line + words) {
+            let hit = p.touch_fresh(take, WORD_BITS, |j| {
+                first + u64::from((addr + j * stride) / 4 - addr / 4)
+            });
+            if hit.is_some() {
+                self.stats.faults_injected += 1;
+            }
+            return hit;
+        }
+        (0..take).find_map(|j| {
+            let flip = self.site_flip((addr + j * stride) & !3, way);
+            (flip != 0).then_some((j, flip))
+        })
     }
 
     /// Resolves a checked read from its first attempt's draws: the
@@ -836,10 +874,12 @@ impl MemSystem {
     /// condition is checked *before* the gap slot is consumed, so on
     /// `None` the slow path sees the sampler exactly as it would have
     /// without the fast path. Writes skip the suspect test: the slow
-    /// path stores over the old word either way.
+    /// path stores over the old word either way. Under persistent sites
+    /// the hit counts on the slow side of the split, and a read still
+    /// owes its site draw.
     #[inline]
     fn fast_hit(&mut self, word_addr: u32, write: bool) -> Option<(u32, usize)> {
-        if !self.fast_ok {
+        if !self.bulk_ok {
             return None;
         }
         let (set, way) = self.l1.fast_locate(word_addr)?;
@@ -857,14 +897,30 @@ impl MemSystem {
             self.energy.l1_nj += self.read_nj;
         }
         self.stats.l1_hits += 1;
-        self.stats.fast_forward_accesses += 1;
+        if self.fast_ok {
+            self.stats.fast_forward_accesses += 1;
+        } else {
+            self.stats.slow_path_accesses += 1;
+        }
         self.cycles += self.l1_stall_c;
         Some((set, way))
     }
 
     fn read_u32_inner(&mut self, word_addr: u32) -> Result<u32, MemError> {
         if let Some((set, way)) = self.fast_hit(word_addr, false) {
-            return Ok(self.l1.fast_read_commit(set, way, word_addr));
+            // The transient draw came up clean. Under sites (`!fast_ok`
+            // here) the site draw comes next, as in `read_draws`, and a
+            // read where it fires runs the full check exactly as
+            // `read_resident_word` would.
+            let flip = if self.fast_ok {
+                0
+            } else {
+                self.site_flip(word_addr, way)
+            };
+            if flip == 0 {
+                return Ok(self.l1.fast_read_commit(set, way, word_addr));
+            }
+            return self.check_read(word_addr, way, flip, 0);
         }
         self.stats.slow_path_accesses += 1;
         self.stats.reads += 1;
@@ -1243,15 +1299,15 @@ impl MemSystem {
     /// gap is a per-*access* process, so one grant of `k` consumes
     /// exactly the slots `k` single-access probes would have.
     ///
-    /// On a system with `fast_ok` (the fast lane) that is all. Where
-    /// persistent sites alone keep the fast path closed (the checked
-    /// lane), each read also makes its own site draw, from the site
-    /// process's own stream, and a read where none fired is a clean
-    /// read of the stored word ([`MemSystem::check_read`]'s clean-read
-    /// lane). At the first site that fires, the reads before it move,
-    /// the unused rest of the grant goes back to the sampler, and that
-    /// read runs the full check — which may retry, refetch or retire
-    /// the way — so the sweep ends there. Writes make no site draw.
+    /// Without persistent sites that is all. Under persistent sites
+    /// (the checked lane) each read also makes its own site draw, from
+    /// the site process's own stream, and a read where none fired is a
+    /// clean read of the stored word ([`MemSystem::check_read`]'s
+    /// clean-read lane); see [`MemSystem::site_draws`]. At the first
+    /// site that fires, the reads before it move, the unused rest of
+    /// the grant goes back to the sampler, and that read runs the full
+    /// check — which may retry, refetch or retire the way — so the
+    /// sweep ends there. Writes make no site draw.
     ///
     /// # Errors
     ///
@@ -1265,7 +1321,7 @@ impl MemSystem {
         write: bool,
         mut mv: impl FnMut(&mut FastLine<'_>, u32, u32, u32),
     ) -> Result<(u32, Option<u32>), MemError> {
-        let checked = !write && !self.fast_ok;
+        let checked = !write && self.draws_sites();
         let mut segs = std::mem::take(&mut self.run_segs);
         let k = self.scan_stride(&mut segs, addr, n, stride, !write && self.need_clean);
         // No grant for an empty prefix: while no gap is pending (after a
@@ -1293,30 +1349,24 @@ impl MemSystem {
                 break;
             }
             let way = seg.way as usize;
-            let mut clean = take;
-            if checked {
-                for j in 0..take {
-                    cycles += stall;
-                    l1_nj += nj;
-                    let flip = self.site_flip((a + j * stride) & !3, way);
-                    if flip != 0 {
-                        clean = j;
-                        fired = Some((way, flip));
-                        break;
-                    }
-                }
+            let hit = if checked {
+                self.site_draws(a, way, take, stride)
             } else {
-                for _ in 0..take {
-                    cycles += stall;
-                    l1_nj += nj;
-                }
+                None
+            };
+            // A fired read is charged like the clean ones before it.
+            let (clean, charged) = hit.map_or((take, take), |(j, _)| (j, j + 1));
+            for _ in 0..charged {
+                cycles += stall;
+                l1_nj += nj;
             }
             if clean > 0 {
                 mv(&mut self.l1.fast_group(seg.set, way), a, i, clean);
             }
             i += clean;
             a += clean * stride;
-            if fired.is_some() {
+            if let Some((_, flip)) = hit {
+                fired = Some((way, flip));
                 break;
             }
         }
@@ -1645,6 +1695,130 @@ mod tests {
                 assert!(s.l2_faults_injected > 0, "{what}: no L2 fault");
                 if detection == DetectionScheme::Parity {
                     assert!(s.ways_disabled > 0, "{what}: no way disabled");
+                }
+            }
+        }
+    }
+
+    /// Random mixed single, sub-word and block operations with clock
+    /// switches, over twice the L1's footprint and across the top of the
+    /// address space: a log of every value read and every access's
+    /// outcome (`Ok(0)` for a write).
+    fn drive_random_ops(m: &mut MemSystem, seed: u64) -> Vec<Result<u32, MemError>> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let top = m.capacity() as u32;
+        let mut log = Vec::new();
+        let (mut words, mut bytes) = (Vec::new(), Vec::new());
+        for _ in 0..2_500 {
+            let r = next();
+            let near_top = r % 97 == 0;
+            let addr = if near_top {
+                top - 8 + (r >> 8) as u32 % 8
+            } else {
+                (r >> 8) as u32 % 8192
+            };
+            let n = 1 + (r >> 24) as u32 % 48;
+            let v = (r >> 32) as u32;
+            words.clear();
+            bytes.clear();
+            let outcome = match (r >> 16) % 12 {
+                0 => m.write_u32(addr & !3, v),
+                1 => m.write_u16(addr & !1, v as u16),
+                2 => m.write_u8(addr, v as u8),
+                3 => m.read_u32(addr & !3).map(|w| log.push(Ok(w))),
+                4 => m.read_u16(addr & !1).map(|h| log.push(Ok(u32::from(h)))),
+                5 => m.read_u8(addr).map(|b| log.push(Ok(u32::from(b)))),
+                6 => m.read_block_u8(addr, n, &mut bytes),
+                7 => m.read_block_u16(addr & !1, n, &mut words),
+                8 => m.read_block_u32(addr & !3, n, &mut words),
+                9 => {
+                    let src: Vec<u8> = (0..n).map(|i| (v + i) as u8).collect();
+                    m.write_block_u8(addr, &src)
+                }
+                10 => {
+                    let src: Vec<u32> = (0..n).map(|i| v ^ i).collect();
+                    m.write_block_u32(addr & !3, &src)
+                }
+                _ => {
+                    m.set_cycle(if v.is_multiple_of(2) { 0.4 } else { 0.35 });
+                    Ok(())
+                }
+            };
+            log.extend(bytes.iter().map(|&b| Ok(u32::from(b))));
+            log.extend(words.iter().map(|&w| Ok(w)));
+            log.push(outcome.map(|()| 0));
+        }
+        log
+    }
+
+    #[test]
+    fn site_lanes_match_the_slow_path_op_for_op() {
+        use crate::policy::WayDisablePolicy;
+        use crate::FaultTargets;
+        use fault_model::PersistentSiteConfig;
+        // Under persistent sites, single reads take the fast lane and
+        // make their own site draw, and block reads draw a site-free
+        // line's sites in one batch. Against the full per-access path,
+        // values, errors, every counter (the fast/slow split included),
+        // cycles, energy and the site process must agree bit for bit.
+        let sites = [
+            PersistentSiteConfig::hard(1e-3),
+            PersistentSiteConfig::intermittent(1e-3, 0.5),
+        ];
+        let detections = [
+            DetectionScheme::Parity,
+            DetectionScheme::ParityPerByte,
+            DetectionScheme::Secded,
+        ];
+        for (k, detection) in detections.into_iter().enumerate() {
+            for site in sites {
+                for (l2, way_disable) in [(false, false), (true, true), (false, true)] {
+                    let mut cfg = MemConfig::strongarm()
+                        .with_detection(detection)
+                        .with_strikes(StrikePolicy::two_strike())
+                        .with_fault_model(FaultProbabilityModel::new(0.001, 0.0))
+                        .with_targets(FaultTargets {
+                            l2,
+                            ..FaultTargets::data_only()
+                        })
+                        .with_persistent(site);
+                    if way_disable {
+                        cfg = cfg.with_way_disable(WayDisablePolicy::new(3, 5_000));
+                    }
+                    let seed = 41 + k as u64;
+                    let mut lanes = MemSystem::new(cfg.clone(), seed);
+                    let mut slow = MemSystem::new(cfg, seed);
+                    force_slow_path(&mut slow);
+                    for m in [&mut lanes, &mut slow] {
+                        m.set_cycle_free(0.4);
+                    }
+                    let what = format!("{detection:?}/{site}/l2={l2}/wd={way_disable}");
+                    let log = drive_random_ops(&mut lanes, seed);
+                    assert_eq!(log, drive_random_ops(&mut slow, seed), "{what}: log");
+                    assert_eq!(lanes.stats(), slow.stats(), "{what}: stats");
+                    assert_eq!(lanes.cycles().to_bits(), slow.cycles().to_bits(), "{what}");
+                    assert_eq!(lanes.energy(), slow.energy(), "{what}: energy");
+                    let process = |m: &MemSystem| {
+                        let p = m.persistent.as_ref().expect("sites on");
+                        (p.site_count(), p.firings())
+                    };
+                    assert_eq!(process(&lanes), process(&slow), "{what}: sites");
+                    let s = lanes.stats();
+                    assert_eq!(s.fast_forward_accesses, 0, "{what}: split moved");
+                    assert!(process(&lanes).1 > 50, "{what}: too few site firings");
+                    assert!(log.iter().any(Result::is_err), "{what}: no error");
+                    if way_disable && detection != DetectionScheme::Secded {
+                        assert!(s.ways_disabled > 0, "{what}: no way disabled");
+                    }
+                    if l2 {
+                        assert!(s.l2_faults_injected > 0, "{what}: no L2 fault");
+                    }
                 }
             }
         }

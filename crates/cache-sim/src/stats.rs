@@ -75,9 +75,11 @@ pub struct MemStats {
     pub fast_forward_accesses: u64,
     /// Accesses outside the fault-free fast path (misses, fault
     /// arrivals, suspect lines, opt-in aux targets, persistent sites, or
-    /// the exact per-access sampler). Says nothing about an access's
-    /// cost: a read where nothing fires skips all check-code work, and
-    /// block sweeps under persistent sites share one skip-ahead grant.
+    /// the exact per-access sampler). The split is by configuration and
+    /// says nothing about an access's cost: a read where nothing fires
+    /// skips all check-code work, and under persistent sites every hit
+    /// inside a skip-ahead gap takes the fast lane (each read with its
+    /// own site draw) yet is counted here.
     pub slow_path_accesses: u64,
     /// Ways mapped out by the opt-in way-disabling escalation
     /// ([`WayDisablePolicy`](crate::WayDisablePolicy)) or by an explicit

@@ -66,8 +66,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a missing subcommand or a dangling
-    /// option.
+    /// Returns [`ArgError`] on a missing subcommand or a positional
+    /// argument after it.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ArgError> {
         let mut it = argv.into_iter().peekable();
         let command = it.next().ok_or(ArgError::MissingCommand)?;
@@ -77,17 +77,16 @@ impl Args {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(ArgError::Unknown(arg));
             };
-            // An option is never another option's value: a valued
-            // option followed by `--...` is kept bare, so `expect_only`
-            // reports it as unknown or as missing its value.
-            if FLAGS.contains(&name) || it.peek().is_some_and(|next| next.starts_with("--")) {
-                flags.push(name.to_string());
-                continue;
+            // An option is never another option's value: a name
+            // followed by `--...` or by nothing is kept bare, so
+            // `expect_only` reports it as unknown or as missing its
+            // value, wherever it stands on the line.
+            match it.next_if(|next| !FLAGS.contains(&name) && !next.starts_with("--")) {
+                Some(value) => {
+                    options.insert(name.to_string(), value);
+                }
+                None => flags.push(name.to_string()),
             }
-            let value = it
-                .next()
-                .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
-            options.insert(name.to_string(), value);
         }
         Ok(Args {
             command,
@@ -177,10 +176,27 @@ mod tests {
 
     #[test]
     fn dangling_option_is_an_error() {
+        let a = parse(&["run", "--app"]).unwrap();
         assert_eq!(
-            parse(&["run", "--app"]),
+            a.expect_only(&["app"]),
             Err(ArgError::MissingValue("app".into()))
         );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_unknown_wherever_it_stands() {
+        for line in [
+            &["serve", "--packets", "10", "--rebalance"][..],
+            &["serve", "--rebalance", "--packets", "10"][..],
+        ] {
+            let a = parse(line).unwrap();
+            assert_eq!(a.get("packets"), Some("10"), "{line:?}");
+            assert_eq!(
+                a.expect_only(&["packets"]),
+                Err(ArgError::Unknown("rebalance".into())),
+                "{line:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use clumsy_core::telemetry::{metric_keys, parse_metrics, METRICS_SCHEMA};
 use clumsy_core::{
     interrupt, run_campaign_durable, run_campaign_instrumented, run_campaign_on, run_serve,
     CampaignConfig, ClumsyConfig, Counter, DurableOptions, DynamicConfig, FrequencyPlan,
-    JournalError, ProgressReporter, SafeModeConfig, ServeConfig, Stopwatch, Telemetry,
-    TrialOutcome, PAPER_CYCLE_TIMES,
+    JournalError, ProgressReporter, SafeModeConfig, ServeConfig, Telemetry, TrialOutcome,
+    PAPER_CYCLE_TIMES,
 };
 use energy_model::EdfMetric;
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig, VoltageSwingCurve};
@@ -597,23 +597,24 @@ fn run(args: &Args) -> Result<String, CliError> {
     let cfg = parse_config(args)?;
     let (trace, opts) = parse_trace(args)?;
     let telemetry = parse_telemetry(args);
-    let span = telemetry.as_ref().map(|_| Stopwatch::start());
     // The design point and its baseline share one grid.
     let points = [
         GridPoint::new(kind, cfg.clone()),
         GridPoint::new(kind, ClumsyConfig::baseline()),
     ];
-    let aggs = run_grid_on(&clumsy_core::Engine::from_env(), &points, &trace, &opts);
+    let mut engine = clumsy_core::Engine::from_env();
+    if let Some(t) = &telemetry {
+        // Every engine job is timed as one job: the application's golden
+        // pass, then both points' trials.
+        let jobs = 1 + points.len() * opts.trials as usize;
+        t.count(0, Counter::jobs_total, jobs as u64);
+        engine = engine.with_job_times(std::sync::Arc::clone(t));
+    }
+    let aggs = run_grid_on(&engine, &points, &trace, &opts);
     let (agg, baseline) = (&aggs[0], &aggs[1]);
-    if let (Some(t), Some(span)) = (&telemetry, span) {
-        // The engine reports no per-job times here, so charge each of
-        // the design point's trials the average job time of the grid.
-        let trials = agg.runs.len().max(1);
-        t.count(0, Counter::jobs_total, trials as u64);
-        let per_trial = span.elapsed() / (2 * trials) as u32;
+    if let Some(t) = &telemetry {
         for (i, r) in agg.runs.iter().enumerate() {
             t.record_report(i, r);
-            t.job_completed(i, per_trial);
         }
     }
     write_metrics(args, telemetry.as_ref())?;

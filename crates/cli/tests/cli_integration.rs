@@ -122,6 +122,54 @@ fn metrics_command_reads_typed_values_with_distinct_exit_codes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn run_metrics_hold_one_timed_sample_per_engine_job() {
+    let dir = std::env::temp_dir().join(format!("clumsy-run-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("metrics.json");
+    let path_arg = path.display().to_string();
+    let (_, stderr, ok) = clumsy(&[
+        "run",
+        "--app",
+        "crc",
+        "--packets",
+        "40",
+        "--trials",
+        "2",
+        "--metrics",
+        &path_arg,
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("metrics written");
+    let map = clumsy_core::telemetry::parse_metrics(&text).expect("schema marker present");
+    // One golden pass, then two trials of the design point and two of
+    // its baseline: five engine jobs, each timed once.
+    for key in [
+        "jobs_total",
+        "jobs_completed",
+        "engine_jobs",
+        "job_us_count",
+    ] {
+        assert_eq!(map.get(key), Some(&5), "{key}");
+    }
+    let buckets = text
+        .split("\"job_us_buckets\": [")
+        .nth(1)
+        .and_then(|rest| rest.split("]]").next())
+        .expect("job histogram present");
+    let samples: u64 = buckets
+        .split('[')
+        .filter_map(|pair| pair.split(',').nth(1))
+        .map(|n| {
+            n.trim_matches(|c: char| !c.is_ascii_digit())
+                .parse::<u64>()
+                .expect("count")
+        })
+        .sum();
+    assert_eq!(samples, 5, "histogram {buckets}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kill a durable campaign mid-run with SIGTERM, resume it, and require
 /// the final CSV to be byte-for-byte what an uninterrupted run writes.
 /// Timing-tolerant: if the campaign wins the race and finishes before

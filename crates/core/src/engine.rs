@@ -43,6 +43,8 @@ pub const JOBS_ENV: &str = "CLUMSY_JOBS";
 pub struct Engine {
     jobs: usize,
     telemetry: Option<Arc<Telemetry>>,
+    /// Whether each job is also recorded as a completed, timed job.
+    job_times: bool,
 }
 
 impl Engine {
@@ -52,6 +54,7 @@ impl Engine {
         Engine {
             jobs: jobs.max(1),
             telemetry: None,
+            job_times: false,
         }
     }
 
@@ -62,6 +65,18 @@ impl Engine {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// As [`Engine::with_telemetry`], and each job's wall time is also
+    /// recorded as one completed job ([`Telemetry::job_completed`]), so
+    /// the job-time histogram holds one sample per engine job. For
+    /// drivers whose engine jobs are the run's jobs; a driver that
+    /// times its jobs itself (the campaign) uses `with_telemetry`.
+    #[must_use]
+    pub fn with_job_times(mut self, telemetry: Arc<Telemetry>) -> Self {
+        self.telemetry = Some(telemetry);
+        self.job_times = true;
         self
     }
 
@@ -109,9 +124,7 @@ impl Engine {
                 .map(|item| {
                     let timed = self.telemetry.as_deref().map(|_| Stopwatch::start());
                     let r = f(item);
-                    if let (Some(t), Some(sw)) = (self.telemetry.as_deref(), timed) {
-                        t.engine_job(0, sw.elapsed());
-                    }
+                    self.record_job(0, timed);
                     r
                 })
                 .collect();
@@ -149,9 +162,7 @@ impl Engine {
                     Some(j) => {
                         let timed = self.telemetry.as_deref().map(|_| Stopwatch::start());
                         let r = f(&items[j]);
-                        if let (Some(t), Some(sw)) = (self.telemetry.as_deref(), timed) {
-                            t.engine_job(me, sw.elapsed());
-                        }
+                        self.record_job(me, timed);
                         *slots[j].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
                     }
                     // Every deque is empty: a single batch is submitted
@@ -177,6 +188,17 @@ impl Engine {
                     .expect("job finished without a result")
             })
             .collect()
+    }
+
+    /// Records one finished job on `worker`, timed by `timed`.
+    fn record_job(&self, worker: usize, timed: Option<Stopwatch>) {
+        if let (Some(t), Some(sw)) = (self.telemetry.as_deref(), timed) {
+            let wall = sw.elapsed();
+            t.engine_job(worker, wall);
+            if self.job_times {
+                t.job_completed(worker, wall);
+            }
+        }
     }
 }
 

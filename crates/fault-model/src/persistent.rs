@@ -19,7 +19,7 @@
 //!   realization.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
 
 /// Seed-domain separator so the persistent process and the transient
@@ -112,6 +112,10 @@ impl fmt::Display for PersistentSiteConfig {
 pub struct PersistentFaultProcess {
     cfg: PersistentSiteConfig,
     rng: SmallRng,
+    /// `ceil(p_site · 2⁵³)`: an activation draw is `(next_u64() >> 11)`
+    /// below it exactly when `gen::<f64>() < p_site`, since that `f64`
+    /// is the same 53 bits scaled by 2⁻⁵³ (both scalings exact).
+    site_threshold: u64,
     /// Stuck-bit mask per slot id; `0` means no site (a site's mask is
     /// never 0). Sites are only ever added, never removed.
     sites: Vec<u32>,
@@ -127,6 +131,7 @@ impl PersistentFaultProcess {
         PersistentFaultProcess {
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ PERSISTENT_SEED_SALT),
+            site_threshold: (cfg.p_site * (1u64 << 53) as f64).ceil() as u64,
             sites: Vec::new(),
             site_count: 0,
             firings: 0,
@@ -162,17 +167,73 @@ impl PersistentFaultProcess {
             }
             return 0;
         }
-        if self.cfg.p_site > 0.0 && self.rng.gen::<f64>() < self.cfg.p_site {
-            let mask = 1u32 << self.rng.gen_range(0..width);
-            if idx >= self.sites.len() {
-                self.sites.resize(idx + 1, 0);
-            }
-            self.sites[idx] = mask;
-            self.site_count += 1;
-            self.firings += 1;
-            return mask;
+        if self.cfg.p_site > 0.0 && self.activation_draw() {
+            return self.activate(idx, width);
         }
         0
+    }
+
+    /// Registers `n` touches of slots that host no site, exactly as `n`
+    /// [`touch`](Self::touch) calls on them would, up to the first that
+    /// activates a site: returns that touch's index and the new site's
+    /// mask, and draws nothing after it. `slot_of(i)` names the slot of
+    /// touch `i` and is only asked for the activating one. This is the
+    /// batched form of a sweep over site-free slots: one tight loop of
+    /// activation draws, with no per-touch table lookup.
+    ///
+    /// The caller guarantees that none of the touched slots hosts a site
+    /// (see [`hosts_site`](Self::hosts_site)); a touch of a site slot
+    /// would have made a duty draw instead.
+    ///
+    /// # Panics
+    ///
+    /// As [`touch`](Self::touch).
+    pub fn touch_fresh(
+        &mut self,
+        n: u32,
+        width: u32,
+        slot_of: impl FnOnce(u32) -> u64,
+    ) -> Option<(u32, u32)> {
+        assert!(
+            (1..=32).contains(&width),
+            "unsupported slot width {width} (expected 1..=32)"
+        );
+        if self.cfg.p_site <= 0.0 {
+            return None;
+        }
+        let i = (0..n).find(|_| self.activation_draw())?;
+        let idx = usize::try_from(slot_of(i)).unwrap_or(usize::MAX);
+        Some((i, self.activate(idx, width)))
+    }
+
+    /// Whether any slot in `slots` hosts a site.
+    pub fn hosts_site(&self, slots: std::ops::Range<u64>) -> bool {
+        // Both ends are clamped to the table, so they fit a `usize`.
+        let len = self.sites.len() as u64;
+        let (lo, hi) = (slots.start.min(len), slots.end.min(len));
+        self.sites
+            .get(lo as usize..hi as usize)
+            .is_some_and(|sites| sites.iter().any(|&m| m != 0))
+    }
+
+    /// One activation draw: `gen::<f64>() < p_site`, compared on the
+    /// raw bits.
+    #[inline]
+    fn activation_draw(&mut self) -> bool {
+        (self.rng.next_u64() >> 11) < self.site_threshold
+    }
+
+    /// Activates a fresh site at slot index `idx`: draws its stuck bit
+    /// and counts the activating access as a firing.
+    fn activate(&mut self, idx: usize, width: u32) -> u32 {
+        let mask = 1u32 << self.rng.gen_range(0..width);
+        if idx >= self.sites.len() {
+            self.sites.resize(idx + 1, 0);
+        }
+        self.sites[idx] = mask;
+        self.site_count += 1;
+        self.firings += 1;
+        mask
     }
 
     /// Number of activated sites so far.
@@ -305,6 +366,65 @@ mod tests {
         }
         assert_eq!(p.site_count(), sites.len());
         assert_eq!(p.firings(), firings);
+    }
+
+    #[test]
+    fn activation_threshold_matches_the_float_comparison() {
+        // `gen::<f64>()` is `(next_u64() >> 11) · 2⁻⁵³`; the integer
+        // threshold must agree with `< p_site` on both sides of its
+        // edge, for exact binary fractions, tiny rates and 1 − ε alike.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        for p_site in [1e-300, 1e-6, 0.02, 0.1, 0.25, 0.5, 1.0 - f64::EPSILON, 1.0] {
+            let t =
+                PersistentFaultProcess::new(PersistentSiteConfig::hard(p_site), 0).site_threshold;
+            for k in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                assert_eq!(k < t, k as f64 * scale < p_site, "p = {p_site}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn touch_fresh_matches_touch_draw_for_draw() {
+        // Runs of touches on never-touched slots, batched on one process
+        // and one `touch` at a time on a twin: the batched call must
+        // return the first activation and its mask, draw nothing after
+        // it, and leave both streams in step.
+        let cfgs = [
+            PersistentSiteConfig::hard(0.01),
+            PersistentSiteConfig::intermittent(0.02, 0.5),
+            PersistentSiteConfig::hard(0.0),
+            PersistentSiteConfig::hard(1.0),
+        ];
+        for cfg in cfgs {
+            let mut batched = PersistentFaultProcess::new(cfg, 17);
+            let mut single = PersistentFaultProcess::new(cfg, 17);
+            let mut next = 0u64;
+            let mut cuts = 0;
+            for round in 0..2_000u32 {
+                let n = 1 + round % 40;
+                let base = next;
+                next += u64::from(n);
+                assert!(!batched.hosts_site(base..next));
+                let got = batched.touch_fresh(n, 32, |i| base + u64::from(i));
+                let want = (0..n).find_map(|i| {
+                    let mask = single.touch(base + u64::from(i), 32);
+                    (mask != 0).then_some((i, mask))
+                });
+                assert_eq!(got, want, "{cfg}: round {round}");
+                assert_eq!(batched.hosts_site(base..next), got.is_some());
+                assert_eq!(batched.site_count(), single.site_count());
+                assert_eq!(batched.firings(), single.firings());
+                cuts += usize::from(got.is_some_and(|(i, _)| i + 1 < n));
+            }
+            if cfg.p_site > 0.0 {
+                assert!(cuts > 10, "{cfg}: only {cuts} runs cut short");
+            }
+            // Revisiting every slot, sites and all, stays in step.
+            for slot in 0..next {
+                assert_eq!(batched.touch(slot, 32), single.touch(slot, 32));
+            }
+            assert_eq!(batched.firings(), single.firings());
+        }
     }
 
     #[test]
